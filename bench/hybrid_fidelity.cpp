@@ -45,9 +45,9 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <sys/resource.h>
 #include <vector>
 
+#include "PerfGate.hh"
 #include "flow/FidelityManager.hh"
 #include "harness/LatencyHistogram.hh"
 #include "harness/SweepRunner.hh"
@@ -58,14 +58,6 @@ using namespace netdimm;
 
 namespace
 {
-
-long
-peakRssKb()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_maxrss;
-}
 
 /** Flow id of the raw latency probes (never a bulk flow id). */
 constexpr std::uint64_t kProbeFlow = ~std::uint64_t(0);
@@ -541,17 +533,6 @@ runHandoffDrill(bool short_mode)
     return out;
 }
 
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &text, const char *key)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
-}
-
 } // namespace
 
 int
@@ -786,7 +767,7 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    long rssKb = peakRssKb();
+    long rssKb = bench::peakRssKb();
     FILE *out = std::fopen(outPath, "w");
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", outPath);
@@ -827,39 +808,13 @@ main(int argc, char **argv)
     std::printf("wrote %s\n", outPath);
 
     if (baselinePath) {
-        FILE *bf = std::fopen(baselinePath, "r");
-        if (!bf) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         baselinePath);
+        int rc = bench::checkBaseline(
+            baselinePath, {{"hybrid_event_reduction", minReduction}},
+            tolerance, "hybrid event reduction regressed");
+        if (rc == 2)
             return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), bf)) > 0)
-            text.append(buf, got);
-        std::fclose(bf);
-
-        double baseRed = jsonNumber(text, "hybrid_event_reduction");
-        if (std::isnan(baseRed) || baseRed <= 0) {
-            std::fprintf(stderr,
-                         "baseline missing key "
-                         "hybrid_event_reduction\n");
-            return 2;
-        }
-        double ratio = minReduction / baseRed;
-        std::printf("check   : hybrid_event_reduction %.3g vs "
-                    "baseline %.3g (%.2fx, floor %.2fx)\n",
-                    minReduction, baseRed, ratio, 1.0 - tolerance);
-        if (ratio < 1.0 - tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: hybrid event reduction regressed "
-                         "beyond %.0f%% tolerance\n",
-                         tolerance * 100);
+        if (rc != 0)
             ok = false;
-        } else {
-            std::printf("baseline check passed\n");
-        }
     }
     return ok ? 0 : 1;
 }

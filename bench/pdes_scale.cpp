@@ -36,16 +36,15 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
+#include "PerfGate.hh"
 #include "harness/LatencyHistogram.hh"
 #include "harness/SweepRunner.hh"
 #include "net/Topology.hh"
@@ -56,22 +55,6 @@ using namespace netdimm;
 
 namespace
 {
-
-double
-wallSeconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-long
-peakRssKb()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_maxrss;
-}
 
 /** Trace shape shared by every run: the pod fabric plus the
  *  node-striped synthetic trace (workload/TraceGen.hh). */
@@ -210,7 +193,7 @@ runTrace(const TraceParams &tp, unsigned shards,
     });
 
     RunResult r;
-    r.wallS = wallSeconds(t0);
+    r.wallS = bench::wallSeconds(t0);
     // Merge in shard order (LatencyHistogram::merge is
     // order-independent anyway; the property test pins that).
     for (const ShardOutcome &o : outcomes) {
@@ -258,17 +241,6 @@ canonicalTable(const TraceParams &tp, const RunResult &r)
     s += buf;
     s += "digest=" + r.hist.digest() + "\n";
     return s;
-}
-
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &text, const char *key)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
 } // namespace
@@ -426,7 +398,7 @@ main(int argc, char **argv)
                 "(efficiency %.0f%%)\n",
                 speedup, shardsN, efficiency * 100.0);
 
-    long rssKb = peakRssKb();
+    long rssKb = bench::peakRssKb();
     std::printf("peak RSS: %ld KB\n", rssKb);
 
     FILE *out = std::fopen(outPath, "w");
@@ -468,39 +440,11 @@ main(int argc, char **argv)
     std::printf("wrote %s\n", outPath);
 
     if (baselinePath) {
-        FILE *bf = std::fopen(baselinePath, "r");
-        if (!bf) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         baselinePath);
-            return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), bf)) > 0)
-            text.append(buf, got);
-        std::fclose(bf);
-
-        double base =
-            jsonNumber(text, "pdes_events_per_sec_shards1");
-        if (std::isnan(base) || base <= 0) {
-            std::fprintf(stderr,
-                         "baseline missing key "
-                         "pdes_events_per_sec_shards1\n");
-            return 2;
-        }
-        double ratio = evps1 / base;
-        std::printf("check   : pdes_events_per_sec_shards1 %.3g vs "
-                    "baseline %.3g (%.2fx, floor %.2fx)\n",
-                    evps1, base, ratio, 1.0 - tolerance);
-        if (ratio < 1.0 - tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: 1-shard events/sec regression beyond "
-                         "%.0f%% tolerance\n",
-                         tolerance * 100);
-            return 1;
-        }
-        std::printf("baseline check passed\n");
+        int rc = bench::checkBaseline(
+            baselinePath, {{"pdes_events_per_sec_shards1", evps1}},
+            tolerance, "1-shard events/sec regression");
+        if (rc != 0)
+            return rc;
     }
 
     // Hard floor, independent of any baseline file: with 4 shards on

@@ -45,8 +45,8 @@
 #include <map>
 #include <new>
 #include <string>
-#include <sys/resource.h>
 
+#include "PerfGate.hh"
 #include "harness/SweepRunner.hh"
 #include "net/Link.hh"
 #include "net/Switch.hh"
@@ -118,22 +118,6 @@ using namespace netdimm;
 
 namespace
 {
-
-double
-wallSeconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-long
-peakRssKb()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_maxrss;
-}
 
 struct PhaseResult
 {
@@ -210,7 +194,7 @@ replayOnce(NicKind kind, int npackets, PhaseResult &out)
     out.items += std::uint64_t(npackets);
     out.events += eq.executedEvents();
     out.allocs += g_heapAllocs.load() - allocs0;
-    out.wallS += wallSeconds(t0);
+    out.wallS += bench::wallSeconds(t0);
     return measured ? sum_us / measured : 0.0;
 }
 
@@ -270,7 +254,7 @@ runChurn(std::uint64_t flows, std::uint64_t roundsPerFlow)
         pool.back().kick();
     }
     eq.run();
-    out.wallS = wallSeconds(t0);
+    out.wallS = bench::wallSeconds(t0);
     out.allocs = g_heapAllocs.load() - allocs0;
     out.events = eq.executedEvents() - warmupEvents;
     out.items = deschedules;
@@ -299,7 +283,7 @@ runPool(std::uint64_t objects)
                                 MemSource::HostCpu, nullptr);
         sink += p->id + r->addr;
     }
-    out.wallS = wallSeconds(t0);
+    out.wallS = bench::wallSeconds(t0);
     out.allocs = g_heapAllocs.load() - allocs0;
     out.items = objects * 2;
     out.events = out.items; // objects stand in for events here
@@ -410,7 +394,7 @@ runCampaign(unsigned jobs, int npackets)
         SweepRunner seq(1);
         auto t0 = std::chrono::steady_clock::now();
         std::vector<double> res = seq.run(grid());
-        r.wallSeq = wallSeconds(t0);
+        r.wallSeq = bench::wallSeconds(t0);
         for (double v : res)
             r.witnessSeq += v;
     }
@@ -418,24 +402,11 @@ runCampaign(unsigned jobs, int npackets)
         SweepRunner par(jobs);
         auto t0 = std::chrono::steady_clock::now();
         std::vector<double> res = par.run(grid());
-        r.wallPar = wallSeconds(t0);
+        r.wallPar = bench::wallSeconds(t0);
         for (double v : res)
             r.witnessPar += v;
     }
     return r;
-}
-
-// -- baseline comparison ----------------------------------------------
-
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &text, const char *key)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
 } // namespace
@@ -535,7 +506,7 @@ main(int argc, char **argv)
     std::printf("  witness sum latency (us): %.4f (jobs-invariant)\n",
                 camp.witnessSeq);
 
-    long rssKb = peakRssKb();
+    long rssKb = bench::peakRssKb();
     std::printf("peak RSS: %ld KB\n", rssKb);
 
     FILE *out = std::fopen(outPath, "w");
@@ -582,52 +553,14 @@ main(int argc, char **argv)
     std::printf("wrote %s\n", outPath);
 
     if (baselinePath) {
-        FILE *bf = std::fopen(baselinePath, "r");
-        if (!bf) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         baselinePath);
-            return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), bf)) > 0)
-            text.append(buf, got);
-        std::fclose(bf);
-
-        struct Check
-        {
-            const char *key;
-            double current;
-        } checks[] = {
-            {"replay_events_per_sec", replay.eventsPerSec()},
-            {"churn_events_per_sec", churn.eventsPerSec()},
-            {"campaign_cells_per_sec", camp.cellsPerSec()},
-        };
-        bool ok = true;
-        for (const Check &c : checks) {
-            double base = jsonNumber(text, c.key);
-            if (std::isnan(base) || base <= 0) {
-                std::fprintf(stderr,
-                             "baseline missing key %s\n", c.key);
-                return 2;
-            }
-            double ratio = c.current / base;
-            std::printf("check   : %s %.3g vs baseline %.3g "
-                        "(%.2fx, floor %.2fx)\n",
-                        c.key, c.current, base, ratio,
-                        1.0 - tolerance);
-            if (ratio < 1.0 - tolerance)
-                ok = false;
-        }
-        if (!ok) {
-            std::fprintf(stderr,
-                         "FAIL: events/sec regression beyond %.0f%% "
-                         "tolerance\n",
-                         tolerance * 100);
-            return 1;
-        }
-        std::printf("baseline check passed\n");
+        int rc = bench::checkBaseline(
+            baselinePath,
+            {{"replay_events_per_sec", replay.eventsPerSec()},
+             {"churn_events_per_sec", churn.eventsPerSec()},
+             {"campaign_cells_per_sec", camp.cellsPerSec()}},
+            tolerance, "events/sec regression");
+        if (rc != 0)
+            return rc;
     }
 
     // Hard floor, independent of any baseline file: on a machine with

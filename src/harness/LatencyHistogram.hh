@@ -1,7 +1,7 @@
 /**
  * @file
- * Log-binned, mergeable latency histogram — the shared percentile
- * engine of the benches (HDR-histogram flavoured).
+ * Log-binned, mergeable latency histogram — the one percentile
+ * engine of the benches and examples (HDR-histogram flavoured).
  *
  * Values (ticks, or any non-negative integer unit) land in buckets
  * whose width grows with magnitude: values below 2^subBucketBits are
@@ -11,10 +11,10 @@
  * bits). count/min/max/sum are exact, so mean() carries no binning
  * error at all.
  *
- * Replaces the per-bench stats::Quantile full-sort copies: O(1)
- * memory regardless of sample count, O(buckets) percentile reads,
- * and merge() lets sweep cells aggregate deterministically (results
- * merge in grid order, so tables stay byte-identical at any --jobs).
+ * O(1) memory regardless of sample count, O(buckets) percentile
+ * reads, and merge() lets sweep cells aggregate deterministically
+ * (results merge in grid order, so tables stay byte-identical at any
+ * --jobs).
  */
 
 #ifndef NETDIMM_HARNESS_LATENCYHISTOGRAM_HH

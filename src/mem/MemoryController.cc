@@ -28,15 +28,6 @@ MemoryController::~MemoryController()
     eventq().unregisterHealthProbe(_probeId);
 }
 
-MemoryController::BankState &
-MemoryController::bank(const DramAddress &da)
-{
-    std::size_t idx =
-        std::size_t(da.rank) * _geo.banksPerDevice + da.bank;
-    ND_ASSERT(idx < _banks.size());
-    return _banks[idx];
-}
-
 void
 MemoryController::access(const MemRequestPtr &req)
 {
@@ -59,9 +50,9 @@ MemoryController::access(const MemRequestPtr &req)
         Beat b;
         b.parent = parent;
         b.lineAddr = first + Addr(i) * cachelineBytes;
-        b.da = _decoder.decode(b.lineAddr);
-        b.row = b.da.rowId(_geo);
-        b.bankIdx = b.da.rank * _geo.banksPerDevice + b.da.bank;
+        DramAddress da = _decoder.decode(b.lineAddr);
+        b.row = da.rowId(_geo);
+        b.bankIdx = da.rank * _geo.banksPerDevice + da.bank;
         b.write = req->write;
         b.handler = handler;
         b.ready = ready;
@@ -112,39 +103,6 @@ MemoryController::pickBeat(Beat &out)
         order[1] = &_writeQ;
     }
 
-    if (_handlerQueued == 0) {
-        // Host-only traffic: the legacy FR-FCFS-lite path, untouched
-        // so existing configurations stay bit-identical.
-        for (BeatQueue *q : order) {
-            // Among the beats already ready, prefer a row hit within
-            // a small scan window, else the oldest ready one.
-            constexpr std::size_t scanWindow = 8;
-            std::size_t limit = std::min(q->size(), scanWindow);
-            std::size_t first_ready = limit;
-            std::size_t hit = limit;
-            for (std::size_t i = 0; i < limit; ++i) {
-                const Beat &b = (*q)[i];
-                if (b.ready > curTick())
-                    continue;
-                if (first_ready == limit)
-                    first_ready = i;
-                BankState &bs = _banks[b.bankIdx];
-                if (bs.rowOpen && bs.openRow == b.row) {
-                    hit = i;
-                    break;
-                }
-            }
-            std::size_t pick = (hit != limit) ? hit : first_ready;
-            if (pick == limit)
-                continue;
-            out = std::move((*q)[pick]);
-            q->erase(pick);
-            return true;
-        }
-        return false;
-    }
-
-    // Handler beats queued: class-aware arbitration (MemArbPolicy).
     for (BeatQueue *q : order) {
         std::size_t pick = pickClassAware(*q);
         if (pick == q->size())
@@ -166,9 +124,19 @@ MemoryController::pickClassAware(const BeatQueue &q) const
     // Per-class FR-FCFS candidates: within each requestor class,
     // prefer a row hit among the first scanWindow ready beats of that
     // class, else the class's oldest ready beat. The policy then
-    // chooses between the two class candidates.
+    // chooses between the two class candidates; with no handler beat
+    // queued every policy returns the host candidate.
+    //
+    // Ready times are enqueue tick + frontendLatency and erase()
+    // preserves order, so the ready beats form a prefix of the queue.
+    // The scan therefore stops at the first beat that is not ready,
+    // or once it has seen scanWindow host beats and
+    // min(scanWindow, _handlerQueued) handler beats. Host-only picks
+    // stay O(scanWindow).
     constexpr std::size_t scanWindow = 8;
     const std::size_t npos = q.size();
+    const std::size_t handlerWindow =
+        std::min(scanWindow, _handlerQueued);
     struct Cand
     {
         std::size_t firstReady;
@@ -179,7 +147,7 @@ MemoryController::pickClassAware(const BeatQueue &q) const
     for (std::size_t i = 0; i < q.size(); ++i) {
         const Beat &b = q[i];
         if (b.ready > curTick())
-            continue;
+            break;
         Cand &c = cand[b.handler ? 1 : 0];
         if (c.seen >= scanWindow)
             continue;
@@ -189,7 +157,7 @@ MemoryController::pickClassAware(const BeatQueue &q) const
         const BankState &bs = _banks[b.bankIdx];
         if (c.hit == npos && bs.rowOpen && bs.openRow == b.row)
             c.hit = i;
-        if (cand[0].seen >= scanWindow && cand[1].seen >= scanWindow)
+        if (cand[0].seen >= scanWindow && cand[1].seen >= handlerWindow)
             break;
     }
     std::size_t host =
@@ -262,7 +230,7 @@ MemoryController::issueBeat(const Beat &beat)
     // A handler beat may have been held past its ready time by the
     // arbitration policy (StaticCap masking) with the bus idle; it
     // cannot burst in the past. Host beats are never masked, so this
-    // clamp leaves the legacy timing untouched.
+    // clamp leaves their timing untouched.
     if (beat.handler)
         bus_start = std::max(bus_start, curTick());
     Tick done = bus_start + burst;

@@ -162,9 +162,8 @@ class MemoryController : public SimObject, public MemTarget
     struct Beat
     {
         ParentPtr parent;
-        DramAddress da;
         Addr lineAddr;
-        std::uint64_t row;     ///< rowId(da), decoded once at enqueue
+        std::uint64_t row;     ///< decoded row id, computed at enqueue
         std::uint32_t bankIdx; ///< rank * banksPerDevice + bank
         bool write;
         bool handler; ///< handler requestor class (MemArbPolicy)
@@ -249,9 +248,11 @@ class MemoryController : public SimObject, public MemTarget
     Tick _serviceAt = 0; ///< tick of the earliest pending service event
 
     // -- handler-class arbitration state ------------------------------
-    /** Handler beats currently queued (both queues). When zero the
-     *  scheduler takes the exact legacy path, so host-only configs
-     *  are bit-identical to the pre-handler controller. */
+    /** Handler beats currently queued (both queues). When zero,
+     *  service() issues eagerly and the picker's scan stops after
+     *  scanWindow host beats; otherwise issue is lazy (one bus slot
+     *  at a time) so the arbitration policy sees every contended
+     *  slot. */
     std::size_t _handlerQueued = 0;
     /** Fair policy: next contended pick goes to the handler class.
      *  Mutated by the (logically const) candidate selection. */
@@ -272,7 +273,6 @@ class MemoryController : public SimObject, public MemTarget
     stats::Scalar _eccCorrectable;
     stats::Scalar _eccUncorrectable;
 
-    BankState &bank(const DramAddress &da);
     void scheduleService(Tick when);
     void service();
     /** Pick the next beat to issue; returns false if nothing ready. */

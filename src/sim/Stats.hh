@@ -2,8 +2,9 @@
  * @file
  * Lightweight statistics package.
  *
- * Components expose Scalar / Average / Histogram stats; benches and
- * examples read them directly or through a StatGroup dump. The design
+ * Components expose Scalar / Average stats; benches and examples read
+ * them directly or through a StatGroup dump (percentiles come from
+ * harness/LatencyHistogram.hh). The design
  * intentionally avoids a global registry: every stat belongs to the
  * component that owns it, and a StatGroup is just a named collection
  * used for pretty-printing.
@@ -82,97 +83,6 @@ class Average
     double _sumSq = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width-bucket histogram over [lo, hi); out-of-range samples land
- * in saturating underflow/overflow buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets)
-        : _lo(lo), _hi(hi), _counts(buckets, 0)
-    {
-        ND_ASSERT(hi > lo && buckets > 0);
-    }
-
-    void
-    sample(double v)
-    {
-        ++_n;
-        if (v < _lo) {
-            ++_under;
-        } else if (v >= _hi) {
-            ++_over;
-        } else {
-            auto idx = std::size_t((v - _lo) / (_hi - _lo) *
-                                   double(_counts.size()));
-            idx = std::min(idx, _counts.size() - 1);
-            ++_counts[idx];
-        }
-    }
-
-    std::uint64_t count() const { return _n; }
-    std::uint64_t bucket(std::size_t i) const { return _counts.at(i); }
-    std::size_t buckets() const { return _counts.size(); }
-    std::uint64_t underflow() const { return _under; }
-    std::uint64_t overflow() const { return _over; }
-
-    double
-    bucketLow(std::size_t i) const
-    {
-        return _lo + (_hi - _lo) * double(i) / double(_counts.size());
-    }
-
-  private:
-    double _lo, _hi;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _under = 0, _over = 0, _n = 0;
-};
-
-/**
- * Sample store with exact quantiles; used where the paper reports
- * per-packet latency distributions. Memory-bounded via reservoir
- * sampling beyond a cap.
- */
-class Quantile
-{
-  public:
-    explicit Quantile(std::size_t cap = 1u << 20) : _cap(cap) {}
-
-    void
-    sample(double v)
-    {
-        ++_n;
-        _mean.sample(v);
-        if (_samples.size() < _cap) {
-            _samples.push_back(v);
-        } else {
-            // Reservoir replacement keeps an unbiased subsample; the
-            // index derives from a deterministic integer hash of the
-            // running sample count.
-            std::uint64_t h = _n * 0x9E3779B97F4A7C15ull;
-            h ^= h >> 33;
-            std::uint64_t j = h % _n;
-            if (j < _cap)
-                _samples[std::size_t(j)] = v;
-        }
-    }
-
-    std::uint64_t count() const { return _n; }
-    double mean() const { return _mean.mean(); }
-    double min() const { return _mean.min(); }
-    double max() const { return _mean.max(); }
-
-    /** Quantile q in [0,1]; interpolated between order statistics. */
-    double percentile(double q) const;
-
-  private:
-    std::size_t _cap;
-    std::uint64_t _n = 0;
-    Average _mean;
-    mutable std::vector<double> _samples;
 };
 
 /** A name/value pair list for printing component stats uniformly. */

@@ -87,18 +87,10 @@ struct DramTiming
     std::uint32_t tCL = 17;
     /** PRE -> ACT. */
     std::uint32_t tRP = 17;
-    /** ACT -> PRE minimum. */
-    std::uint32_t tRAS = 39;
     /** Burst length in bus clocks (BL8 on DDR = 4 clocks). */
     std::uint32_t tBURST = 4;
     /** Column-to-column (same bank group approximation). */
     std::uint32_t tCCD = 6;
-    /** ACT -> ACT different banks. */
-    std::uint32_t tRRD = 6;
-    /** Four-activate window. */
-    std::uint32_t tFAW = 26;
-    /** Write recovery. */
-    std::uint32_t tWR = 18;
     /** Command/address bus transfer time (one command slot). */
     std::uint32_t tCMD = 1;
 
@@ -119,8 +111,6 @@ struct DramGeometry
     std::uint32_t rowsPerSubArray = 128;
     /** Bytes per row per rank (Fig. 9: 1KB rows). */
     std::uint32_t rowBytes = 1024;
-    /** Data bus width in bits (DDR: 64). */
-    std::uint32_t busWidthBits = 64;
 
     /** Capacity of one rank, in bytes. */
     std::uint64_t
@@ -144,9 +134,9 @@ struct DramGeometry
 /**
  * How a controller arbitrates the data bus between host-class beats
  * (CPU, DMA, nNIC, clone, prefetch) and handler-class beats issued by
- * the near-memory packet handler stage. Only consulted while handler
- * beats are queued; host-only traffic always takes the legacy
- * FR-FCFS path.
+ * the near-memory packet handler stage. One FR-FCFS picker forms a
+ * candidate per class and the policy chooses between them; with no
+ * handler beat queued every policy picks the host candidate.
  */
 enum class MemArbPolicy : std::uint8_t
 {
@@ -168,7 +158,7 @@ const char *arbPolicyName(MemArbPolicy p);
 /** Memory controller queueing model. */
 struct MemCtrlConfig
 {
-    std::uint32_t readQueueDepth = 32;
+    /** Write-queue size the drain watermark is a fraction of. */
     std::uint32_t writeQueueDepth = 64;
     /** Controller pipeline (decode + scheduling), in ticks. */
     Tick frontendLatency = nsToTicks(10);

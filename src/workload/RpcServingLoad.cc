@@ -711,8 +711,11 @@ ServingSim::ServingSim(const SystemConfig &base,
     // -- topology -------------------------------------------------------
     client = std::make_unique<Node>(eq, "client", cfg, 0);
     for (std::uint32_t i = 0; i < nservers; ++i) {
-        std::string name =
-            nservers == 1 ? "server" : "s" + std::to_string(i + 1);
+        std::string name = "server";
+        if (nservers > 1) {
+            name = "s";
+            name += std::to_string(i + 1);
+        }
         serverNodes.push_back(
             std::make_unique<Node>(eq, name, cfg, i + 1));
     }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "mem/MemoryController.hh"
 
 using namespace netdimm;
@@ -211,4 +214,76 @@ TEST(MemoryController, LatencyGrowsUnderLoad)
     Tick t0 = f.eq.curTick();
     Tick loaded = f.blockingRead(64) - t0;
     EXPECT_GT(loaded, lone);
+}
+
+namespace
+{
+
+struct IssueOrder
+{
+    Addr oldest;              ///< line of the first-enqueued read
+    std::vector<Addr> issued; ///< lines in issue order
+};
+
+/**
+ * Open one row, then enqueue in a single tick @p misses reads to
+ * distinct other banks followed by one read (line 64) that hits the
+ * open row, and, when @p handler is set, a handler-class read behind
+ * them.
+ */
+IssueOrder
+rowHitIssueOrder(std::size_t misses, bool handler)
+{
+    Fixture f;
+    const DimmDecoder &dec = f.mc.decoder();
+    f.blockingRead(0);
+    std::uint64_t hitsBefore = f.mc.rowHits();
+
+    std::set<std::uint32_t> banks{dec.decode(0).bank};
+    std::vector<Addr> reads;
+    for (Addr a = pageBytes; reads.size() < misses + handler;
+         a += pageBytes) {
+        if (banks.insert(dec.decode(a).bank).second)
+            reads.push_back(a);
+    }
+    IssueOrder out{misses ? reads[0] : Addr(64), {}};
+    f.mc.setTraceHook([&](Tick, Addr a, bool, MemSource) {
+        out.issued.push_back(a);
+    });
+    for (std::size_t i = 0; i < misses; ++i)
+        f.mc.access(makeMemRequest(reads[i], 64, false,
+                                   MemSource::HostDma, nullptr));
+    f.mc.access(
+        makeMemRequest(64, 64, false, MemSource::HostDma, nullptr));
+    if (handler)
+        f.mc.access(makeMemRequest(reads[misses], 64, false,
+                                   MemSource::Handler, nullptr));
+    f.eq.run();
+
+    EXPECT_EQ(out.issued.size(), misses + 1 + handler);
+    EXPECT_EQ(f.mc.rowHits() - hitsBefore, 1u);
+    return out;
+}
+
+} // namespace
+
+TEST(MemoryController, RowHitScanWindowIsEightReadyBeats)
+{
+    // The picker prefers a row hit among the first 8 ready beats of a
+    // class, else the class's oldest ready beat. Checked host-only
+    // (eager issue) and with a handler beat queued (lazy issue,
+    // HostPriority).
+    for (bool handler : {false, true}) {
+        SCOPED_TRACE(handler ? "handler beat queued" : "host only");
+        // Hit at the 3rd ready beat: issued first.
+        IssueOrder near = rowHitIssueOrder(2, handler);
+        ASSERT_FALSE(near.issued.empty());
+        EXPECT_EQ(near.issued[0], Addr(64));
+        // Hit at the 9th ready beat: the oldest ready beat goes
+        // first; then the hit is inside the window and goes next.
+        IssueOrder far = rowHitIssueOrder(8, handler);
+        ASSERT_GE(far.issued.size(), 2u);
+        EXPECT_EQ(far.issued[0], far.oldest);
+        EXPECT_EQ(far.issued[1], Addr(64));
+    }
 }
