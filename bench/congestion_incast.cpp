@@ -120,7 +120,8 @@ runIncast(int fanin, double loss_rate, std::uint64_t seed)
     rxNode.connectTo(down);
     sw.addRoute(0, &down);
 
-    FaultInjector inj(FaultConfig{loss_rate, 0.0, seed});
+    FaultRegistry faults(seed);
+    FaultInjector inj(faults, "link", loss_rate, 0.0);
     if (loss_rate > 0.0)
         down.setFaultHook(&inj);
 

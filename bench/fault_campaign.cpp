@@ -71,9 +71,10 @@ runOne(const std::string &cls, double rate, double windowUs)
     FaultModelConfig &fc = sys.faults;
     if (cls != "baseline")
         fc.enabled = true;
+    double linkDrop = 0.0, linkCorrupt = 0.0;
     if (cls == "link") {
-        fc.linkDropProb = rate;
-        fc.linkCorruptProb = rate / 4.0;
+        linkDrop = rate;
+        linkCorrupt = rate / 4.0;
     } else if (cls == "ecc") {
         fc.eccCorrectableProb = rate;
         fc.eccUncorrectableProb = rate / 64.0;
@@ -97,11 +98,9 @@ runOne(const std::string &cls, double rate, double windowUs)
     // comes from the tx node's registry, so the wire's schedule
     // derives from the same master seed as every other layer.
     std::unique_ptr<FaultInjector> inj;
-    if (fc.enabled &&
-        (fc.linkDropProb > 0.0 || fc.linkCorruptProb > 0.0)) {
+    if (linkDrop > 0.0 || linkCorrupt > 0.0) {
         inj = std::make_unique<FaultInjector>(
-            *tx.faults(), "wire.link", fc.linkDropProb,
-            fc.linkCorruptProb);
+            *tx.faults(), "wire.link", linkDrop, linkCorrupt);
         link.setFaultHook(inj.get());
     }
 

@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "harness/SweepRunner.hh"
@@ -48,21 +47,10 @@ replayMeanLatencyUs(const std::vector<TraceRecord> &trace,
     fabric.attach(0, tx.endpoint());
     fabric.attach(1, rx.endpoint());
 
-    // The fabric needs the locality class per packet; stash it by
-    // packet id at send time.
-    std::map<std::uint64_t, TrafficLocality> locality;
-    tx.setWire([&](const PacketPtr &pkt) {
-        auto it = locality.find(pkt->id);
-        TrafficLocality loc = it != locality.end()
-                                  ? it->second
-                                  : TrafficLocality::IntraCluster;
-        if (it != locality.end())
-            locality.erase(it);
-        fabric.forward(pkt, loc);
-    });
-    rx.setWire([&](const PacketPtr &pkt) {
-        fabric.forward(pkt, TrafficLocality::IntraCluster);
-    });
+    // The fabric charges each packet its trace record's locality
+    // class, stamped on the packet at send time.
+    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
+    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
 
     const int npackets = int(trace.size());
     double sum_us = 0.0;
@@ -84,10 +72,10 @@ replayMeanLatencyUs(const std::vector<TraceRecord> &trace,
     for (int i = 0; i < npackets; ++i) {
         const TraceRecord &rec = trace[std::size_t(i)];
         t += rec.interArrival;
-        eq.schedule(t, [&tx, &rx, &locality, rec, i] {
+        eq.schedule(t, [&tx, &rx, rec, i] {
             PacketPtr pkt = tx.makeTxPacket(rec.bytes, rx.id(),
                                             1 + (i % 8));
-            locality[pkt->id] = rec.locality;
+            pkt->locality = rec.locality;
             tx.sendPacket(pkt);
         });
     }
@@ -117,7 +105,6 @@ replayReliableMeanLatencyUs(const std::vector<TraceRecord> &trace,
     ClosFabric fabric(eq, "fabric", cfg.eth);
     fabric.attach(0, tx.endpoint());
     fabric.attach(1, rx.endpoint());
-    fabric.setDefaultLocality(TrafficLocality::IntraCluster);
     tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
     rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
 

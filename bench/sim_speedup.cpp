@@ -42,7 +42,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <new>
 #include <string>
 
@@ -153,19 +152,8 @@ replayOnce(NicKind kind, int npackets, PhaseResult &out)
     fabric.attach(0, tx.endpoint());
     fabric.attach(1, rx.endpoint());
 
-    std::map<std::uint64_t, TrafficLocality> locality;
-    tx.setWire([&](const PacketPtr &pkt) {
-        auto it = locality.find(pkt->id);
-        TrafficLocality loc = it != locality.end()
-                                  ? it->second
-                                  : TrafficLocality::IntraCluster;
-        if (it != locality.end())
-            locality.erase(it);
-        fabric.forward(pkt, loc);
-    });
-    rx.setWire([&](const PacketPtr &pkt) {
-        fabric.forward(pkt, TrafficLocality::IntraCluster);
-    });
+    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
+    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
 
     double sum_us = 0.0;
     int measured = 0;
@@ -182,10 +170,10 @@ replayOnce(NicKind kind, int npackets, PhaseResult &out)
     for (int i = 0; i < npackets; ++i) {
         TraceRecord rec = gen.next();
         t += rec.interArrival;
-        eq.schedule(t, [&tx, &rx, &locality, rec, i] {
+        eq.schedule(t, [&tx, &rx, rec, i] {
             PacketPtr pkt = tx.makeTxPacket(rec.bytes, rx.id(),
                                             1 + (i % 8));
-            locality[pkt->id] = rec.locality;
+            pkt->locality = rec.locality;
             tx.sendPacket(pkt);
         });
     }

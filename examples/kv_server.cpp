@@ -11,8 +11,12 @@
  * servers, plus the request rate a closed-loop client achieves.
  *
  *   $ ./examples/kv_server [value_bytes]
+ *
+ * value_bytes is 1..4096 (one page); anything else prints a usage
+ * line and exits 2.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -85,14 +89,33 @@ runKv(NicKind kind, std::uint32_t value_bytes, int requests)
     return r;
 }
 
+/** Parse a whole decimal string into 1..pageBytes. */
+bool
+parseValueBytes(const char *s, std::uint32_t &out)
+{
+    if (*s < '0' || *s > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long v = std::strtoul(s, &end, 10);
+    if (errno != 0 || *end != '\0' || v < 1 || v > pageBytes)
+        return false;
+    out = std::uint32_t(v);
+    return true;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    std::uint32_t value_bytes =
-        argc > 1 ? std::uint32_t(std::atoi(argv[1])) : 256;
+    std::uint32_t value_bytes = 256;
+    if (argc > 2 || (argc > 1 && !parseValueBytes(argv[1], value_bytes))) {
+        std::fprintf(stderr, "usage: kv_server [value_bytes (1..%u)]\n",
+                     pageBytes);
+        return 2;
+    }
     const int requests = 300;
 
     std::printf("Key-value store: closed-loop GETs (64B request, %uB "

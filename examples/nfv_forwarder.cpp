@@ -6,8 +6,12 @@
  * Sec. 5.3 scenario, runnable as a small standalone program.
  *
  *   $ ./examples/nfv_forwarder [l3f|dpi] [gbps]
+ *
+ * gbps must be a finite number > 0; a malformed argument prints a
+ * usage line and exits 2.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
@@ -19,14 +23,40 @@
 
 using namespace netdimm;
 
+namespace
+{
+
+/** Parse a whole string as a finite double. */
+bool
+parseDouble(const char *s, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(s, &end);
+    return end != s && *end == '\0' && std::isfinite(out);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
     NfKind nf = NfKind::L3Forward;
-    if (argc > 1 && std::strcmp(argv[1], "dpi") == 0)
-        nf = NfKind::DeepInspect;
-    double gbps = argc > 2 ? std::atof(argv[2]) : 24.0;
+    double gbps = 24.0;
+    bool ok = argc <= 3;
+    if (ok && argc > 1) {
+        if (std::strcmp(argv[1], "dpi") == 0)
+            nf = NfKind::DeepInspect;
+        else
+            ok = std::strcmp(argv[1], "l3f") == 0;
+    }
+    if (ok && argc > 2)
+        ok = parseDouble(argv[2], gbps) && gbps > 0.0;
+    if (!ok) {
+        std::fprintf(stderr,
+                     "usage: nfv_forwarder [l3f|dpi] [gbps > 0]\n");
+        return 2;
+    }
     const int npackets = 2000;
 
     std::printf("NFV middlebox: %s at ~%.0f Gbps of webserver-mix "

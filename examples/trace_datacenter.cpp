@@ -11,14 +11,15 @@
  * With --trace FILE the packet stream is read from a trace file
  * (format: "<arrival_ns> <bytes> <locality>", see TraceFile.hh)
  * instead of the synthetic cluster generator -- e.g. a parse of the
- * public Facebook dataset.
+ * public Facebook dataset. A malformed argument prints a usage line
+ * and exits 2.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 
 #include "harness/LatencyHistogram.hh"
 #include "net/Switch.hh"
@@ -28,25 +29,96 @@
 
 using namespace netdimm;
 
+namespace
+{
+
+int
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: trace_datacenter [database|webserver|hadoop] "
+                 "[dnic|inic|netdimm] [switch_ns] [--stats] "
+                 "[--trace FILE]\n");
+    return 2;
+}
+
+bool
+parseCluster(const char *s, ClusterType &out)
+{
+    for (ClusterType c : {ClusterType::Database, ClusterType::Webserver,
+                          ClusterType::Hadoop}) {
+        if (std::strcmp(s, clusterName(c)) == 0) {
+            out = c;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+parseNic(const char *s, NicKind &out)
+{
+    static const struct
+    {
+        const char *name;
+        NicKind kind;
+    } nics[] = {{"dnic", NicKind::Discrete},
+                {"inic", NicKind::Integrated},
+                {"netdimm", NicKind::NetDimm}};
+    for (const auto &n : nics) {
+        if (std::strcmp(s, n.name) == 0) {
+            out = n.kind;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Parse a whole string as a finite, non-negative double. */
+bool
+parseNs(const char *s, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(s, &end);
+    return end != s && *end == '\0' && std::isfinite(out) && out >= 0;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
     ClusterType cluster = ClusterType::Webserver;
-    if (argc > 1) {
-        if (std::strcmp(argv[1], "database") == 0)
-            cluster = ClusterType::Database;
-        else if (std::strcmp(argv[1], "hadoop") == 0)
-            cluster = ClusterType::Hadoop;
-    }
     NicKind kind = NicKind::NetDimm;
-    if (argc > 2) {
-        if (std::strcmp(argv[2], "dnic") == 0)
-            kind = NicKind::Discrete;
-        else if (std::strcmp(argv[2], "inic") == 0)
-            kind = NicKind::Integrated;
+    double switch_ns = 100.0;
+    bool stats = false;
+    const char *trace_path = nullptr;
+    int positional = 0;
+    for (int i = 1; i < argc; ++i) {
+        const char *a = argv[i];
+        if (std::strcmp(a, "--stats") == 0) {
+            stats = true;
+        } else if (std::strcmp(a, "--trace") == 0) {
+            if (++i == argc)
+                return usage();
+            trace_path = argv[i];
+        } else if (positional == 0) {
+            if (!parseCluster(a, cluster))
+                return usage();
+            ++positional;
+        } else if (positional == 1) {
+            if (!parseNic(a, kind))
+                return usage();
+            ++positional;
+        } else if (positional == 2) {
+            if (!parseNs(a, switch_ns))
+                return usage();
+            ++positional;
+        } else {
+            return usage();
+        }
     }
-    double switch_ns = argc > 3 ? std::atof(argv[3]) : 100.0;
     const int npackets = 1200;
 
     SystemConfig cfg;
@@ -60,16 +132,8 @@ main(int argc, char **argv)
     fabric.attach(0, tx.endpoint());
     fabric.attach(1, rx.endpoint());
 
-    std::map<std::uint64_t, TrafficLocality> locality;
-    tx.setWire([&](const PacketPtr &pkt) {
-        auto it = locality.find(pkt->id);
-        TrafficLocality loc = it == locality.end()
-                                  ? TrafficLocality::IntraCluster
-                                  : it->second;
-        fabric.forward(pkt, loc);
-    });
-    rx.setWire(
-        [&](const PacketPtr &pkt) { fabric.deliver(pkt); });
+    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
+    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
 
     LatencyHistogram lat; // ticks
     rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
@@ -79,10 +143,8 @@ main(int argc, char **argv)
     // Packet stream: a trace file if given, else synthesized from
     // the cluster's published distributions.
     std::vector<TraceRecord> records;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--trace") == 0)
-            records = TraceFile::load(argv[i + 1]);
-    }
+    if (trace_path)
+        records = TraceFile::load(trace_path);
     if (records.empty()) {
         TraceGen gen(cluster, 5.0, 2026);
         records = TraceFile::synthesize(gen, npackets);
@@ -95,7 +157,7 @@ main(int argc, char **argv)
         eq.schedule(t, [&, rec, i] {
             PacketPtr pkt =
                 tx.makeTxPacket(rec.bytes, rx.id(), 1 + (i % 8));
-            locality[pkt->id] = rec.locality;
+            pkt->locality = rec.locality;
             tx.sendPacket(pkt);
         });
     }
@@ -115,7 +177,7 @@ main(int argc, char **argv)
     std::printf("                 max  %7.3f us\n",
                 us(double(lat.maxValue())));
 
-    if (argc > 4 && std::strcmp(argv[4], "--stats") == 0) {
+    if (stats) {
         std::printf("\n");
         rx.printStats(std::cout);
     }

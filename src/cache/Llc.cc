@@ -252,34 +252,6 @@ Llc::dmaRead(Addr addr, std::uint32_t size, MemSource src,
 }
 
 void
-Llc::flush(Addr addr, std::uint32_t size, MemSource src, Completion cb)
-{
-    std::uint32_t dirty = 0;
-    Addr first_dirty = 0;
-    forEachLine(addr, size, [&](Addr a) {
-        Line *l = findLine(a);
-        if (l && l->dirty) {
-            if (dirty == 0)
-                first_dirty = a;
-            ++dirty;
-            l->dirty = false;
-            _writebacks.inc();
-        }
-    });
-    if (dirty == 0) {
-        Tick done = curTick() + _hitLatency;
-        if (cb) {
-            eventq().schedule(done,
-                              [cb = std::move(cb), done] { cb(done); });
-        }
-        return;
-    }
-    auto wb = makeMemRequest(first_dirty, dirty * _cfg.lineBytes, true,
-                             src, std::move(cb));
-    _downstream.access(wb);
-}
-
-void
 Llc::invalidate(Addr addr, std::uint32_t size)
 {
     forEachLine(addr, size, [&](Addr a) {

@@ -48,14 +48,6 @@ class Llc : public SimObject, public MemTarget
     void dmaRead(Addr addr, std::uint32_t size, MemSource src,
                  Completion cb);
 
-    /**
-     * Write back (clwb-style) the lines covering [addr, addr+size) to
-     * memory; clean/absent lines cost only the probe. Lines remain
-     * valid and clean.
-     */
-    void flush(Addr addr, std::uint32_t size, MemSource src,
-               Completion cb);
-
     /** Drop the lines covering the range without writeback. */
     void invalidate(Addr addr, std::uint32_t size);
 

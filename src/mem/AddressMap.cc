@@ -111,13 +111,10 @@ DimmDecoder::pageAddress(std::uint32_t rank, std::uint32_t bank,
 }
 
 HostAddressMap::HostAddressMap(std::uint64_t conv_bytes,
-                               std::uint32_t channels,
-                               std::uint32_t stripe_bytes,
-                               InterleaveMode mode)
-    : _convBytes(conv_bytes), _channels(channels),
-      _stripeBytes(stripe_bytes), _mode(mode), _nextBase(conv_bytes)
+                               std::uint32_t channels)
+    : _convBytes(conv_bytes), _channels(channels), _nextBase(conv_bytes)
 {
-    ND_ASSERT(channels > 0 && stripe_bytes > 0);
+    ND_ASSERT(channels > 0);
 }
 
 Addr
@@ -125,11 +122,6 @@ HostAddressMap::addNetDimmRegion(std::uint64_t bytes,
                                  std::uint32_t channel)
 {
     ND_ASSERT(channel < _channels);
-    if (_mode == InterleaveMode::Multi) {
-        panic("NetDIMM regions require Single or Flex interleaving "
-              "(Sec. 4.2.1): the NetDIMM local channel is not visible "
-              "to nNIC under multi-channel striping");
-    }
     Region r{_nextBase, bytes, channel};
     _regions.push_back(r);
     _nextBase += bytes;
@@ -141,17 +133,7 @@ HostAddressMap::route(Addr addr) const
 {
     ChannelRoute out;
     if (addr < _convBytes) {
-        switch (_mode) {
-          case InterleaveMode::Single:
-            out.channel = std::uint32_t(
-                addr / ((_convBytes + _channels - 1) / _channels));
-            break;
-          case InterleaveMode::Multi:
-          case InterleaveMode::Flex:
-            out.channel =
-                std::uint32_t((addr / _stripeBytes) % _channels);
-            break;
-        }
+        out.channel = std::uint32_t((addr / stripeBytes) % _channels);
         out.dimmOffset = addr; // controllers re-normalize as needed
         return out;
     }

@@ -120,14 +120,6 @@ class DimmDecoder
     std::uint32_t _rowsPerPage = 0;
 };
 
-/** Channel interleaving policy (Sec. 2.3). */
-enum class InterleaveMode
-{
-    Single, ///< channel bits in MSBs; sequential addrs on one channel
-    Multi,  ///< sequential addresses stripe across channels
-    Flex,   ///< part multi-channel, part single-channel (Fig. 10)
-};
-
 /** Routing target of a host physical address. */
 struct ChannelRoute
 {
@@ -142,23 +134,23 @@ struct ChannelRoute
 };
 
 /**
- * Host physical address map in flex mode: conventional DRAM occupies
- * [0, convBytes) striped over all channels; each NetDIMM i occupies a
- * contiguous window after it, routed single-channel to the channel it
- * is installed on.
+ * Host physical address map in flex mode (Sec. 2.3, Fig. 10):
+ * conventional DRAM occupies [0, convBytes) striped over all channels
+ * at stripeBytes granularity; each NetDIMM i occupies a contiguous
+ * window after it, routed single-channel to the channel it is
+ * installed on.
  */
 class HostAddressMap
 {
   public:
+    /** Interleave granularity of the conventional region. */
+    static constexpr std::uint32_t stripeBytes = 256;
+
     /**
      * @param conv_bytes capacity of the interleaved conventional region.
      * @param channels number of host channels.
-     * @param stripe_bytes interleave granularity for the multi region.
-     * @param mode interleaving mode for the conventional region.
      */
-    HostAddressMap(std::uint64_t conv_bytes, std::uint32_t channels,
-                   std::uint32_t stripe_bytes = 256,
-                   InterleaveMode mode = InterleaveMode::Flex);
+    HostAddressMap(std::uint64_t conv_bytes, std::uint32_t channels);
 
     /**
      * Append a NetDIMM local region of @p bytes installed on host
@@ -181,7 +173,6 @@ class HostAddressMap
     }
 
     std::uint64_t conventionalBytes() const { return _convBytes; }
-    InterleaveMode mode() const { return _mode; }
 
   private:
     struct Region
@@ -193,8 +184,6 @@ class HostAddressMap
 
     std::uint64_t _convBytes;
     std::uint32_t _channels;
-    std::uint32_t _stripeBytes;
-    InterleaveMode _mode;
     std::vector<Region> _regions;
     Addr _nextBase;
 };

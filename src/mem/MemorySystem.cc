@@ -8,8 +8,7 @@ namespace netdimm
 MemorySystem::MemorySystem(EventQueue &eq, std::string name,
                            const SystemConfig &cfg)
     : SimObject(eq, std::move(name)), _cfg(cfg),
-      _map(cfg.hostMem.totalBytes(), cfg.hostMem.channels,
-           /*stripe_bytes=*/256, InterleaveMode::Flex)
+      _map(cfg.hostMem.totalBytes(), cfg.hostMem.channels)
 {
     // The host geometry describes all channels together; each
     // controller owns one channel's share.

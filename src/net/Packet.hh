@@ -62,6 +62,22 @@ enum class RpcOp : std::uint8_t
     SyncData, ///< peer -> restarting node shard re-sync batch
 };
 
+/**
+ * Traffic locality classes of the Facebook clusters (Sec. 5.1). They
+ * determine how many switch hops a packet traverses in the clos
+ * topology: rack-local traffic crosses one ToR; intra-cluster traffic
+ * crosses ToR-fabric-ToR; intra-datacenter (inter-cluster) traffic
+ * additionally crosses the spine; inter-datacenter traffic adds the
+ * DC boundary routers and long-haul propagation.
+ */
+enum class TrafficLocality : std::uint8_t
+{
+    IntraRack,      ///< 1 hop
+    IntraCluster,   ///< 3 hops (ToR, fabric, ToR)
+    IntraDatacenter, ///< 5 hops (ToR, fabric, spine, fabric, ToR)
+    InterDatacenter, ///< 7 hops + long-haul propagation
+};
+
 /** Accumulated per-component latency of one packet's one-way trip. */
 struct LatencyBreakdown
 {
@@ -146,6 +162,8 @@ struct Packet
     // -- RPC header (src/workload/RpcServingLoad, src/handler) --------
     /** RPC opcode; None for non-RPC traffic. */
     RpcOp rpcOp = RpcOp::None;
+    /** Locality class an analytic ClosFabric charges this frame. */
+    TrafficLocality locality = TrafficLocality::IntraCluster;
     /** Request key: correlates a response with its request and
      *  addresses the KV store (hashed). */
     std::uint64_t rpcKey = 0;

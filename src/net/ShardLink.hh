@@ -4,9 +4,9 @@
  * (sim/ParallelSim.hh, DESIGN.md §16).
  *
  * A PacketChannel is both halves of one inter-shard wire: the
- * producing shard's CrossShardSink (EthLink::connectRemote /
- * ClosFabric::attachRemote push into it at send time) and the
- * consuming shard's ShardIngress (the driver pumps it each quantum).
+ * producing shard's CrossShardSink (EthLink::connectRemote pushes
+ * into it at send time) and the consuming shard's ShardIngress (the
+ * driver pumps it each quantum).
  * Entries are ShardFrames — a full Packet BY VALUE plus its send and
  * arrival ticks — so the sender's pooled PacketPtr never crosses the
  * thread boundary; the consumer materializes a fresh pooled packet on
@@ -15,8 +15,8 @@
  *
  * The pump's completeness rule keys on SEND ticks, which are monotone
  * per channel by construction (a shard's clock never goes backwards),
- * not on arrival ticks, which are not monotone through a ClosFabric
- * (the delay varies with frame size and locality class).
+ * not on arrival ticks, which are not monotone (a link's delay
+ * varies with frame size).
  */
 
 #ifndef NETDIMM_NET_SHARDLINK_HH
@@ -86,13 +86,6 @@ class PacketChannel : public CrossShardSink, public ShardIngress
  * edges are such links.
  */
 Tick ethLinkLookahead(const EthConfig &cfg);
-
-/**
- * The conservative lookahead of a sharded ClosFabric with config
- * @p cfg: the smallest pathDelay over any locality class and frame
- * size (one IntraRack hop at minimum frame size).
- */
-Tick closFabricLookahead(const EthConfig &cfg);
 
 } // namespace netdimm
 

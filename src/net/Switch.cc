@@ -16,7 +16,6 @@ Switch::Switch(EventQueue &eq, std::string name, const EthConfig &cfg)
     : Switch(eq, std::move(name), cfg.switchLatency,
              cfg.switchQueueFrames, cfg.ecnThresholdFrames)
 {
-    _ecnDequeue = cfg.ecnMarkDequeue;
 }
 
 Switch::EcmpGroup
@@ -213,7 +212,7 @@ Switch::enqueue(EthLink *out, const PacketPtr &pkt)
                  static_cast<unsigned long long>(pkt->id));
         return;
     }
-    if (!_ecnDequeue && _ecnThreshold > 0 && depth >= _ecnThreshold) {
+    if (_ecnThreshold > 0 && depth >= _ecnThreshold) {
         pkt->ecnMarked = true;
         _ecnMarks.inc();
     }
@@ -235,21 +234,6 @@ Switch::drain(EthLink *out)
     port.draining = true;
     PacketPtr pkt = port.queue.front();
     port.queue.pop_front();
-    if (_ecnDequeue && _ecnThreshold > 0) {
-        // DCTCP-style: mark against the depth the departing frame
-        // leaves behind (itself included), so the echo reports the
-        // queue as it is *now*, not as it was a full queue-wait ago.
-        std::size_t depth = port.queue.size() + 1;
-        if (!_bg.empty()) {
-            auto it = _bg.find(out);
-            if (it != _bg.end() && it->second)
-                depth += it->second->backlogFramesAt(curTick());
-        }
-        if (depth >= _ecnThreshold) {
-            pkt->ecnMarked = true;
-            _ecnMarks.inc();
-        }
-    }
     out->send(this, pkt);
     // The next frame may start once this one finished serializing.
     scheduleRel(out->frameTicks(pkt->bytes),
@@ -300,14 +284,7 @@ void
 ClosFabric::attach(std::uint32_t node_id, NetEndpoint *ep)
 {
     ND_ASSERT(ep);
-    _routes.add(node_id, Egress{ep, nullptr});
-}
-
-void
-ClosFabric::attachRemote(std::uint32_t node_id, CrossShardSink *sink)
-{
-    ND_ASSERT(sink);
-    _routes.add(node_id, Egress{nullptr, sink});
+    _routes.add(node_id, ep);
 }
 
 Tick
@@ -327,8 +304,8 @@ ClosFabric::pathDelay(std::uint32_t bytes, TrafficLocality loc) const
 void
 ClosFabric::forward(const PacketPtr &pkt, TrafficLocality loc)
 {
-    Egress *eg = _routes.resolve(pkt->dstNode);
-    if (!eg) {
+    NetEndpoint **route = _routes.resolve(pkt->dstNode);
+    if (!route) {
         // A frame to a node the fabric does not know is the network
         // equivalent of a misdelivered packet: real fabrics drop it
         // (and a reliable transport retransmits or gives up); only a
@@ -344,22 +321,14 @@ ClosFabric::forward(const PacketPtr &pkt, TrafficLocality loc)
     Tick delay = pathDelay(pkt->bytes, loc);
     pkt->lat.add(LatComp::Wire, delay);
     _frames.inc();
-    if (eg->sink) {
-        // Cross-shard destination: export the frame at SEND time with
-        // its precomputed arrival tick, so the far shard's pump sees a
-        // send-tick-monotone stream (arrival ticks are not monotone —
-        // the delay varies with frame size and locality).
-        eg->sink->push(curTick(), curTick() + delay, *pkt);
-        return;
-    }
-    NetEndpoint *dst = eg->ep;
+    NetEndpoint *dst = *route;
     scheduleRel(delay, [dst, pkt] { dst->deliver(pkt); });
 }
 
 void
 ClosFabric::deliver(const PacketPtr &pkt)
 {
-    forward(pkt, _defaultLoc);
+    forward(pkt, pkt->locality);
 }
 
 } // namespace netdimm

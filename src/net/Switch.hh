@@ -90,8 +90,7 @@ class Switch : public SimObject, public NetEndpoint
     {
         return _dropsLinkDown.value();
     }
-    /** Frames ECN-marked (at enqueue, or at dequeue when the
-     *  EthConfig sets ecnMarkDequeue). */
+    /** Frames ECN-marked at enqueue. */
     std::uint64_t ecnMarks() const { return _ecnMarks.value(); }
     /** Deepest egress queue observed (frames), across all ports. */
     std::uint64_t maxQueueDepth() const { return _maxDepth; }
@@ -146,8 +145,6 @@ class Switch : public SimObject, public NetEndpoint
     Tick _portLatency;
     std::uint32_t _queueFrames;
     std::uint32_t _ecnThreshold;
-    /** Mark at dequeue (EthConfig::ecnMarkDequeue). */
-    bool _ecnDequeue = false;
     RouteTable<EcmpGroup> _routes;
     /** Links this switch already listens to for up/down edges. */
     std::set<EthLink *> _watched;
@@ -167,22 +164,6 @@ class Switch : public SimObject, public NetEndpoint
     EthLink *selectMember(EcmpGroup &g, const PacketPtr &pkt) const;
     void enqueue(EthLink *out, const PacketPtr &pkt);
     void drain(EthLink *out);
-};
-
-/**
- * Traffic locality classes of the Facebook clusters (Sec. 5.1). They
- * determine how many switch hops a packet traverses in the clos
- * topology: rack-local traffic crosses one ToR; intra-cluster traffic
- * crosses ToR-fabric-ToR; intra-datacenter (inter-cluster) traffic
- * additionally crosses the spine; inter-datacenter traffic adds the
- * DC boundary routers and long-haul propagation.
- */
-enum class TrafficLocality : std::uint8_t
-{
-    IntraRack,      ///< 1 hop
-    IntraCluster,   ///< 3 hops (ToR, fabric, ToR)
-    IntraDatacenter, ///< 5 hops (ToR, fabric, spine, fabric, ToR)
-    InterDatacenter, ///< 7 hops + long-haul propagation
 };
 
 /** @return switch hop count for a locality class. */
@@ -207,25 +188,13 @@ class ClosFabric : public SimObject, public NetEndpoint
     void attach(std::uint32_t node_id, NetEndpoint *ep);
 
     /**
-     * Register @p node_id as living on another shard: frames for it
-     * leave through @p sink at send time, stamped with the locally
-     * computed arrival tick (the fabric delay is a pure function of
-     * frame size and locality, so sharding the fabric changes no
-     * timing). Not owned.
-     */
-    void attachRemote(std::uint32_t node_id, CrossShardSink *sink);
-
-    /**
      * Fabric traversal for @p pkt whose locality is @p loc; delivery
      * is scheduled at the destination endpoint.
      */
     void forward(const PacketPtr &pkt, TrafficLocality loc);
 
-    /** NetEndpoint entry: forwards using the packet's fabricHops. */
+    /** NetEndpoint entry: forwards at the packet's locality. */
     void deliver(const PacketPtr &pkt) override;
-
-    /** Per-packet locality override used by deliver(). */
-    void setDefaultLocality(TrafficLocality loc) { _defaultLoc = loc; }
 
     /** One-way fabric delay for a payload of @p bytes at @p loc. */
     Tick pathDelay(std::uint32_t bytes, TrafficLocality loc) const;
@@ -237,16 +206,8 @@ class ClosFabric : public SimObject, public NetEndpoint
     }
 
   private:
-    /** One attached destination: local endpoint or cross-shard sink. */
-    struct Egress
-    {
-        NetEndpoint *ep = nullptr;
-        CrossShardSink *sink = nullptr;
-    };
-
     const EthConfig _cfg;
-    RouteTable<Egress> _routes;
-    TrafficLocality _defaultLoc = TrafficLocality::IntraCluster;
+    RouteTable<NetEndpoint *> _routes;
     stats::Scalar _frames;
 };
 

@@ -98,8 +98,9 @@ DiscreteNic::rxPath(const PacketPtr &pkt)
     pkt->rxBufAddr = buf;
     Addr desc_addr = _rxRing.descAddr(_rxRing.head());
 
-    // RX descriptors are prefetched in batches (rxDescPrefetchDepth),
-    // keeping the descriptor *fetch* off the critical path; the
+    // RX descriptors are assumed prefetched ahead of arrival, as
+    // real NICs batch-prefetch them, so the descriptor *fetch* is
+    // off the critical path and not modelled; the
     // payload write and the descriptor status writeback are posted
     // writes upstream, landing in the DDIO ways of the LLC.
     Tick pipe = _cfg.nicModel.pipelineLatency;

@@ -236,16 +236,6 @@ struct EthConfig
      * ECN-marked (congestion experienced). 0 disables marking.
      */
     std::uint32_t ecnThresholdFrames = 16;
-    /**
-     * Mark frames against the instantaneous depth at *dequeue* time
-     * (DCTCP-style) instead of at enqueue. Enqueue marks echo back
-     * only after the marked frame has waited out the queue in front
-     * of it — a feedback delay that grows with the very congestion it
-     * reports and drives large relaxation oscillations; dequeue marks
-     * reach the sender a wire RTT after the depth they report, so the
-     * control loop stabilizes the queue near the threshold.
-     */
-    bool ecnMarkDequeue = false;
 };
 
 /**
@@ -400,12 +390,6 @@ struct NicModelConfig
      * traversal.
      */
     Tick onDieRegLatency = nsToTicks(60);
-    /**
-     * RX descriptors the NIC prefetches ahead of packet arrival;
-     * with a non-zero depth the descriptor fetch is off the critical
-     * path in steady state (real NICs batch-prefetch descriptors).
-     */
-    std::uint32_t rxDescPrefetchDepth = 8;
     /** Internal NIC pipeline (parse/checksum/queueing) per frame. */
     Tick pipelineLatency = nsToTicks(15);
     /**
@@ -485,27 +469,20 @@ struct SoftwareConfig
     std::uint64_t dmaBufAllocCycles = 300;
     /** Zero-copy per-packet buffer management / pinning, in cycles. */
     std::uint64_t zcpyMgmtCycles = 150;
-    /** Model the random polling-loop phase (off = deterministic). */
-    bool modelPollPhase = true;
 };
 
 /**
  * Fault model (src/sim/Fault.hh): per-layer injection probabilities
  * and the driver watchdog that recovers from device-level faults.
  * All probabilities are per *opportunity* (per cacheline beat for
- * ECC, per TX kick for device faults, per frame for link faults);
- * schedules derive from SystemConfig::seed via named FaultDomains.
+ * ECC, per TX kick for device faults); schedules derive from
+ * SystemConfig::seed via named FaultDomains. Link faults are wired
+ * separately, per EthLink, through a FaultInjector.
  */
 struct FaultModelConfig
 {
     /** Master switch: when false no fault domains are wired at all. */
     bool enabled = false;
-
-    // -- link faults (EthLink hook) ------------------------------------
-    /** Probability a frame vanishes on the wire. */
-    double linkDropProb = 0.0;
-    /** Probability a frame arrives with a bad FCS. */
-    double linkCorruptProb = 0.0;
 
     // -- memory faults (per cacheline beat at a controller) ------------
     /** Correctable ECC error: fixed in line, costs scrub latency. */

@@ -53,6 +53,37 @@ shedPolicyName(ShedPolicy s)
 namespace
 {
 
+// -- fixed workload shape ----------------------------------------------
+// Host application model.
+/** Concurrent application workers on the server. */
+constexpr std::uint32_t hostWorkers = 2;
+/** Per-request compute cost, core cycles at the host clock. */
+constexpr std::uint64_t hostServiceCycles = 6000;
+/** Host-side KV working set, pages. */
+constexpr std::uint32_t hostKvSetPages = 64;
+// Interference probe and MLC injector (ServingParams::probe / mlc).
+/** Probe working set: exceeds the LLC, so dependent loads actually
+ *  reach the local memory controller. */
+constexpr std::uint32_t probeSetPages = 1024;
+/** Probe think time between dependent loads. */
+constexpr double probeThinkTimeNs = 100.0;
+/** Pages per MLC stream (read + write): 2 x 1024 pages = 8 MB, four
+ *  times the LLC, so the injector streams mostly miss. */
+constexpr std::uint32_t mlcStreamPages = 1024;
+/** Deterministic +/- jitter fraction applied to each client backoff
+ *  (drawn from a named FaultDomain stream, so the schedule is a pure
+ *  function of the config seed). */
+constexpr double backoffJitter = 0.1;
+// Cluster mode.
+/** Logical KV key space; keys are drawn uniformly from [1, N]. */
+constexpr std::uint64_t clusterKeyCount = 2048;
+/** Virtual points per node on the consistent-hash ring. */
+constexpr std::uint32_t ringPointsPerNode = 48;
+/** KV entries per shard re-sync frame. */
+constexpr std::uint32_t syncFrameEntries = 5;
+/** Coordinator retransmit period for unacked replica writes. */
+constexpr Tick replRetryPeriod = usToTicks(50);
+
 /**
  * One serving cell: client, server node(s), topology, workload state.
  *
@@ -94,7 +125,7 @@ class ServingSim
         ServingSim &sim;
         Node &node;
 
-        std::vector<Addr> kvPages;
+        std::vector<Addr> kvSet;
         std::deque<PacketPtr> q;
         std::uint32_t busy = 0;
         /** Bumped on every crash: a service-chain completion that
@@ -122,9 +153,9 @@ class ServingSim
 
         ServerCtx(ServingSim &s, Node &n) : sim(s), node(n)
         {
-            kvPages.reserve(sim.p.kvPages);
-            for (std::uint32_t j = 0; j < sim.p.kvPages; ++j)
-                kvPages.push_back(node.allocWorkloadPage());
+            kvSet.reserve(hostKvSetPages);
+            for (std::uint32_t j = 0; j < hostKvSetPages; ++j)
+                kvSet.push_back(node.allocWorkloadPage());
         }
 
         void
@@ -178,7 +209,7 @@ class ServingSim
         void
         trySrv()
         {
-            while (busy < sim.p.appWorkers && !q.empty()) {
+            while (busy < hostWorkers && !q.empty()) {
                 PacketPtr req = q.front();
                 q.pop_front();
                 // Deadline-aware dequeue: serving an already-dead
@@ -204,7 +235,7 @@ class ServingSim
             std::uint64_t h = handlerHash(req->rpcKey);
             std::uint64_t g = gen;
             Addr bucket =
-                kvPages[std::size_t(h % kvPages.size())] +
+                kvSet[std::size_t(h % kvSet.size())] +
                 ((h >> 8) % sim.linesPerPage) * cachelineBytes;
             node.cpuAccess(bucket, cachelineBytes, false,
                            [this, req, h, g](Tick) {
@@ -218,7 +249,7 @@ class ServingSim
         valueAccess(const PacketPtr &req, std::uint64_t h)
         {
             Addr val =
-                kvPages[std::size_t((h >> 16) % kvPages.size())] +
+                kvSet[std::size_t((h >> 16) % kvSet.size())] +
                 ((h >> 24) % sim.slotsPerPage) * sim.valueStride;
             bool put = req->rpcOp != RpcOp::Get;
             std::uint64_t g = gen;
@@ -235,7 +266,7 @@ class ServingSim
         {
             std::uint64_t g = gen;
             sim.eq.scheduleRel(
-                sim.cfg.cpu.cycles(sim.p.appServiceCycles),
+                sim.cfg.cpu.cycles(hostServiceCycles),
                 [this, req, g] {
                     if (g != gen)
                         return;
@@ -343,7 +374,7 @@ class ServingSim
         {
             std::uint64_t g = gen;
             sim.eq.scheduleRel(
-                sim.cl.replRetryTimeout, [this, id, g] {
+                replRetryPeriod, [this, id, g] {
                     if (g != gen)
                         return;
                     auto it = pending.find(id);
@@ -478,7 +509,7 @@ class ServingSim
                 bySrc[best.second].push_back({k, best.first});
             for (auto &[src, kvs] : bySrc) {
                 for (std::size_t o = 0; o < kvs.size();
-                     o += sim.cl.syncBatch) {
+                     o += syncFrameEntries) {
                     SyncFrame fr;
                     fr.src = src;
                     fr.kv.assign(
@@ -486,7 +517,7 @@ class ServingSim
                         kvs.begin() +
                             std::ptrdiff_t(std::min(
                                 kvs.size(),
-                                o + sim.cl.syncBatch)));
+                                o + syncFrameEntries)));
                     pl->frames.push_back(std::move(fr));
                 }
             }
@@ -664,12 +695,10 @@ ServingSim::ServingSim(const SystemConfig &base,
       retryJitter("rpc.retry", base.seed)
 {
     ND_ASSERT(p.qps > 0 && p.valueBytes >= 1 &&
-              p.valueBytes <= pageBytes && p.appWorkers >= 1 &&
-              p.kvPages >= 1);
+              p.valueBytes <= pageBytes);
     ND_ASSERT(!cl.enabled ||
               (cl.nodes >= 1 && cl.replication >= 1 &&
-               cl.replication <= cl.nodes && cl.keySpace >= 1 &&
-               cl.syncBatch >= 1 && cl.replRetryTimeout > 0));
+               cl.replication <= cl.nodes));
 
     switch (p.placement) {
     case ServingPlacement::Dnic:
@@ -782,7 +811,8 @@ ServingSim::ServingSim(const SystemConfig &base,
         ids.reserve(nservers);
         for (auto &sn : serverNodes)
             ids.push_back(sn->id());
-        shard = std::make_unique<ShardMap>(std::move(ids), cl.vnodes);
+        shard = std::make_unique<ShardMap>(std::move(ids),
+                                           ringPointsPerNode);
     }
 
     for (auto &sn : serverNodes)
@@ -884,10 +914,8 @@ ServingSim::sendReq(std::uint64_t key, Flight &f)
 void
 ServingSim::armTimeout(std::uint64_t key, std::uint32_t send_no)
 {
-    double j = 1.0;
-    if (p.retryJitterFrac > 0.0)
-        j = 1.0 +
-            p.retryJitterFrac * (2.0 * retryJitter.uniform() - 1.0);
+    double j =
+        1.0 + backoffJitter * (2.0 * retryJitter.uniform() - 1.0);
     Tick to = Tick(double(baseTimeout << (send_no - 1)) * j);
     eq.scheduleRel(to, [this, key, send_no] {
         auto it = inFlight.find(key);
@@ -953,7 +981,7 @@ ServingSim::fire()
         // client-assigned and monotone, so replica install-if-newer
         // resolves every duplicate and reordering. Both draws come
         // from a stream no other mode consumes.
-        kvKey = kvKeys.uniformInt(1, cl.keySpace);
+        kvKey = kvKeys.uniformInt(1, clusterKeyCount);
         if (!get)
             version = ++versionCtr;
     }
@@ -1036,13 +1064,13 @@ ServingSim::run()
     if (p.probe && server.netdimm()) {
         NetDimmDevice *nd = server.netdimm();
         std::vector<Addr> pages;
-        pages.reserve(p.probePages);
+        pages.reserve(probeSetPages);
         Addr first = nd->regionBase() + nd->localBytes() / 4;
-        for (std::uint32_t i = 0; i < p.probePages; ++i)
+        for (std::uint32_t i = 0; i < probeSetPages; ++i)
             pages.push_back(first + Addr(i) * pageBytes);
         probe = std::make_unique<MemLatencyProbe>(
             eq, "probe", server, std::move(pages),
-            nsToTicks(p.probeThinkNs));
+            nsToTicks(probeThinkTimeNs));
         MemLatencyProbe *pr = probe.get();
         eq.schedule(span / 5, [pr] {
             pr->start();
@@ -1053,9 +1081,9 @@ ServingSim::run()
     if (p.mlc && server.netdimm()) {
         NetDimmDevice *nd = server.netdimm();
         std::vector<Addr> pages;
-        pages.reserve(2 * std::size_t(p.mlcPages));
+        pages.reserve(2 * std::size_t(mlcStreamPages));
         Addr first = nd->regionBase() + nd->localBytes() / 2;
-        for (std::uint32_t i = 0; i < 2 * p.mlcPages; ++i)
+        for (std::uint32_t i = 0; i < 2 * mlcStreamPages; ++i)
             pages.push_back(first + Addr(i) * pageBytes);
         mlc = std::make_unique<MlcInjector>(
             eq, "mlc", server, /*inject_delay=*/0, std::move(pages),

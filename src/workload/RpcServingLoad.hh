@@ -11,10 +11,10 @@
  * The server side depends on placement:
  *
  *  - Dnic / Inic / NetDimmHost: requests traverse the full RX path
- *    into host memory, then a bounded pool of application workers
+ *    into host memory, then a pool of two application workers
  *    services each request (hash-bucket read + value read/write via
- *    cpuAccess, plus a fixed compute cost) and transmits the reply
- *    through the normal TX path.
+ *    cpuAccess over a 64-page working set, plus 6000 cycles of
+ *    compute) and transmits the reply through the normal TX path.
  *  - NetDimmHandlers: the NetDIMM handler stage intercepts matched
  *    GET/PUT frames in the nNIC parser and serves them from local
  *    DRAM on the wimpy handler cores; run-queue overflow falls back
@@ -32,6 +32,11 @@
  * faults wipe a node's volatile state, clients fail over past dead
  * primaries via their request timeouts, and a restarted node
  * re-syncs its shards from peers before rejoining the serve set.
+ *
+ * The workload shape every run shares (worker pool, working sets,
+ * backoff jitter, cluster key space, ring points, re-sync batching,
+ * replica retry period) is not in ServingParams: it is a set of
+ * constants at the top of RpcServingLoad.cc.
  */
 
 #ifndef NETDIMM_WORKLOAD_RPCSERVINGLOAD_HH
@@ -89,10 +94,6 @@ struct ClusterServingParams
     /** Replica count R per key. A PUT is acknowledged only after all
      *  R replicas installed it (strict primary-backup). */
     std::uint32_t replication = 1;
-    /** Logical KV key space; keys are drawn uniformly from [1, N]. */
-    std::uint64_t keySpace = 2048;
-    /** Virtual points per node on the consistent-hash ring. */
-    std::uint32_t vnodes = 48;
     /** Per-node whole-node crash hazard, events per simulated second
      *  (0 = no crashes, no draws). Crash instants come from each
      *  node's own "<node>.crash" FaultDomain. */
@@ -101,10 +102,6 @@ struct ClusterServingParams
     Tick restartDelay = usToTicks(300);
     /** How long the client avoids a node after a timeout on it. */
     Tick suspectTicks = usToTicks(200);
-    /** KV entries per shard re-sync frame. */
-    std::uint32_t syncBatch = 5;
-    /** Coordinator retransmit period for unacked replica writes. */
-    Tick replRetryTimeout = usToTicks(50);
 };
 
 /** One serving cell's knobs. */
@@ -135,14 +132,6 @@ struct ServingParams
      */
     bool emptyMatchTable = false;
 
-    // -- host application model ---------------------------------------
-    /** Concurrent application workers on the server. */
-    std::uint32_t appWorkers = 2;
-    /** Per-request compute cost, core cycles at the host clock. */
-    std::uint64_t appServiceCycles = 6000;
-    /** Host-side KV working set, pages. */
-    std::uint32_t kvPages = 64;
-
     // -- interference probe (NetDIMM placements only) ------------------
     /**
      * Run a dependent-load latency probe on the server against pages
@@ -150,21 +139,14 @@ struct ServingParams
      * host reads and handler DRAM traffic contend on the local
      * memory controller under the configured arbitration policy.
      */
-    /** Probe working set; default exceeds the LLC so dependent
-     *  loads actually reach the local memory controller. */
     bool probe = false;
-    std::uint32_t probePages = 1024;
-    double probeThinkNs = 100.0;
     /**
      * Also run an MLC-style bandwidth injector over NetDIMM-window
      * pages for the same middle window: sustained host-class load on
      * the local MC, so the arbitration policy visibly shifts both
      * the injector's achieved bandwidth and the handler tail.
      */
-    /** Per stream (read + write); 2 x 1024 pages = 8 MB, four times
-     *  the LLC, so the injector streams mostly miss. */
     bool mlc = false;
-    std::uint32_t mlcPages = 1024;
 
     // -- request reliability (DESIGN.md §14) ---------------------------
     /**
@@ -178,13 +160,10 @@ struct ServingParams
      *  disables timeout tracking entirely (no extra events). */
     std::uint32_t maxRetries = 0;
     /** Base client timeout before the first retry; doubles per
-     *  attempt (exponential backoff). 0 with maxRetries > 0 defaults
-     *  to 2x the deadline budget. */
+     *  attempt (exponential backoff) with +/-10% deterministic
+     *  jitter. 0 with maxRetries > 0 defaults to 2x the deadline
+     *  budget. */
     Tick retryTimeout = 0;
-    /** Deterministic +/- jitter fraction applied to each backoff
-     *  (drawn from a named FaultDomain stream, so the schedule is a
-     *  pure function of the config seed). */
-    double retryJitterFrac = 0.1;
     /** Hedged requests: race a duplicate after max(hedgeFloor,
      *  running p99) if the reply has not arrived; first reply wins. */
     bool hedge = false;

@@ -24,10 +24,10 @@ mix64(std::uint64_t x)
 } // namespace
 
 ShardMap::ShardMap(std::vector<std::uint32_t> nodes,
-                   std::uint32_t vnodes)
-    : _nodes(std::move(nodes)), _vnodes(vnodes)
+                   std::uint32_t points_per_node)
+    : _nodes(std::move(nodes)), _pointsPerNode(points_per_node)
 {
-    ND_ASSERT(_vnodes >= 1);
+    ND_ASSERT(_pointsPerNode >= 1);
     std::sort(_nodes.begin(), _nodes.end());
     _nodes.erase(std::unique(_nodes.begin(), _nodes.end()),
                  _nodes.end());
@@ -38,9 +38,9 @@ void
 ShardMap::rebuild()
 {
     _ring.clear();
-    _ring.reserve(std::size_t(_nodes.size()) * _vnodes);
+    _ring.reserve(std::size_t(_nodes.size()) * _pointsPerNode);
     for (std::uint32_t n : _nodes) {
-        for (std::uint32_t v = 0; v < _vnodes; ++v) {
+        for (std::uint32_t v = 0; v < _pointsPerNode; ++v) {
             // Point position is a pure function of (node, vnode
             // index): a node that leaves and rejoins lands on the
             // exact same ring points, so its shards come back.

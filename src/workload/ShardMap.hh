@@ -3,13 +3,13 @@
  * Consistent-hash shard map for the replicated KV serving tier
  * (DESIGN.md §15).
  *
- * Each member node projects `vnodes` virtual points onto a 64-bit
- * hash ring; a key is owned by the first point clockwise of its own
- * hash, and its R-way replica set is the first R *distinct* nodes
+ * Each member node projects `points_per_node` virtual points onto a
+ * 64-bit hash ring; a key is owned by the first point clockwise of its
+ * own hash, and its R-way replica set is the first R *distinct* nodes
  * continuing clockwise. The classic properties follow:
  *
- *  - placement is a pure function of (membership, vnodes, key):
- *    deterministic across runs, processes and sweep workers;
+ *  - placement is a pure function of (membership, points per node,
+ *    key): deterministic across runs, processes and sweep workers;
  *  - when one of N nodes leaves or rejoins, only ~K/N of K keys
  *    change primary — everything else keeps its owner;
  *  - a replica set never repeats a node and never exceeds the
@@ -35,7 +35,7 @@ class ShardMap
 {
   public:
     ShardMap(std::vector<std::uint32_t> nodes,
-             std::uint32_t vnodes = 64);
+             std::uint32_t points_per_node = 64);
 
     /** Member count (crashed-but-mapped nodes included). */
     std::uint32_t size() const
@@ -72,7 +72,7 @@ class ShardMap
     };
 
     std::vector<std::uint32_t> _nodes;
-    std::uint32_t _vnodes;
+    std::uint32_t _pointsPerNode;
     std::vector<Point> _ring; ///< sorted by (hash, node)
 
     void rebuild();

@@ -58,6 +58,7 @@ TraceGen::TraceGen(ClusterType cluster, double offered_gbps,
     : _cluster(cluster), _offeredGbps(offered_gbps),
       _meanBytes(clusterMeanBytes(cluster)), _rng(seed)
 {
+    ND_ASSERT(offered_gbps > 0);
 }
 
 std::uint32_t

@@ -123,24 +123,20 @@ TEST(DimmDecoder, RowIdUniquePerRow)
 
 TEST(HostAddressMap, MultiModeStripes)
 {
-    HostAddressMap map(1ull << 30, 2, 256, InterleaveMode::Multi);
+    // The conventional region stripes over every channel at 256 B.
+    HostAddressMap map(1ull << 30, 2);
+    EXPECT_EQ(HostAddressMap::stripeBytes, 256u);
     EXPECT_EQ(map.route(0).channel, 0u);
+    EXPECT_EQ(map.route(255).channel, 0u);
     EXPECT_EQ(map.route(256).channel, 1u);
     EXPECT_EQ(map.route(512).channel, 0u);
-    EXPECT_EQ(map.route(255).channel, 0u);
-}
-
-TEST(HostAddressMap, SingleModeSplitsContiguously)
-{
-    HostAddressMap map(1ull << 30, 2, 256, InterleaveMode::Single);
-    EXPECT_EQ(map.route(0).channel, 0u);
-    EXPECT_EQ(map.route((1ull << 29) - 1).channel, 0u);
-    EXPECT_EQ(map.route(1ull << 29).channel, 1u);
+    EXPECT_FALSE(map.route(512).isNetDimm);
+    EXPECT_EQ(map.route(512).dimmOffset, 512u);
 }
 
 TEST(HostAddressMap, FlexRoutesNetDimmSingleChannel)
 {
-    HostAddressMap map(1ull << 30, 2, 256, InterleaveMode::Flex);
+    HostAddressMap map(1ull << 30, 2);
     Addr base = map.addNetDimmRegion(1ull << 28, /*channel=*/1);
     EXPECT_EQ(base, 1ull << 30);
     // Conventional region still stripes.
@@ -171,10 +167,4 @@ TEST(HostAddressMapDeath, UnmappedAddressPanics)
 {
     HostAddressMap map(1ull << 20, 1);
     EXPECT_DEATH(map.route(1ull << 21), "outside");
-}
-
-TEST(HostAddressMapDeath, MultiModeRejectsNetDimm)
-{
-    HostAddressMap map(1ull << 20, 2, 256, InterleaveMode::Multi);
-    EXPECT_DEATH(map.addNetDimmRegion(1ull << 20, 0), "Flex");
 }

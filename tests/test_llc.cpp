@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the LLC + DDIO model: hit/miss behaviour, the
- * DDIO-restricted ways, DMA leakage accounting, flush/invalidate.
+ * DDIO-restricted ways, DMA leakage accounting, dirty-eviction
+ * writeback, invalidate.
  */
 
 #include <gtest/gtest.h>
@@ -87,20 +88,25 @@ TEST(Llc, WriteMissAllocatesDirtyLine)
     Fixture f;
     f.blockingAccess(0, 64, /*write=*/true);
     EXPECT_TRUE(f.llc.probe(0));
-    // Flushing it writes it back to memory.
-    int before = f.mem.writes;
-    Tick done = 0;
-    f.llc.flush(0, 64, MemSource::HostCpu, [&](Tick t) { done = t; });
-    f.eq.run();
-    EXPECT_EQ(f.mem.writes, before + 1);
-    EXPECT_EQ(f.llc.writebacks(), 1u);
-    EXPECT_GE(done, f.mem.latency);
-    // Line stays valid and clean: a second flush is cheap.
+    EXPECT_EQ(f.mem.writes, 0);
+    // Fill the rest of line 0's set with clean lines: nothing leaves.
+    const std::uint32_t assoc = f.cfg.llc.assoc;
+    const Addr stride = Addr(f.cfg.llc.sizeBytes / assoc);
+    for (std::uint32_t k = 1; k < assoc; ++k)
+        f.blockingAccess(k * stride);
     EXPECT_TRUE(f.llc.probe(0));
-    before = f.mem.writes;
-    f.llc.flush(0, 64, MemSource::HostCpu, nullptr);
-    f.eq.run();
-    EXPECT_EQ(f.mem.writes, before);
+    EXPECT_EQ(f.mem.writes, 0);
+    // One more line in the set evicts the LRU line, which is dirty:
+    // it is written back to memory.
+    f.blockingAccess(assoc * stride);
+    EXPECT_FALSE(f.llc.probe(0));
+    EXPECT_EQ(f.mem.writes, 1);
+    EXPECT_EQ(f.llc.writebacks(), 1u);
+    // Evicting a clean line writes nothing back.
+    f.blockingAccess((assoc + 1) * stride);
+    EXPECT_FALSE(f.llc.probe(stride));
+    EXPECT_EQ(f.mem.writes, 1);
+    EXPECT_EQ(f.llc.writebacks(), 1u);
 }
 
 TEST(Llc, InvalidateDropsLines)

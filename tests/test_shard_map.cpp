@@ -71,7 +71,7 @@ TEST(ShardMap, AllNodesOwnSomeKeys)
     for (std::uint64_t k = 1; k <= keys; ++k)
         ++owned[m.primary(k)];
     ASSERT_EQ(owned.size(), 6u) << "some node owns nothing";
-    // Consistent hashing with enough vnodes keeps the split within a
+    // Consistent hashing with enough virtual points keeps the split within a
     // loose factor of fair share: no node should be nearly empty or
     // hold most of the ring.
     for (const auto &[id, n] : owned) {
