@@ -148,6 +148,8 @@ struct RunResult
     std::uint64_t executed = 0;
     std::uint64_t quanta = 0;
     std::uint64_t pumped = 0;
+    /** Per-shard host-time split (busy / pump / blocked wait). */
+    std::vector<ShardRunStats> shards;
     double wallS = 0.0;
 
     double
@@ -208,6 +210,7 @@ runTrace(const TraceParams &tp, unsigned shards,
         r.quanta += s.quanta;
         r.pumped += s.pumped;
     }
+    r.shards = sim.shardStats();
     return r;
 }
 
@@ -367,6 +370,14 @@ main(int argc, char **argv)
                     s, (unsigned long long)r.executed, r.wallS,
                     r.eventsPerSec(), (unsigned long long)tp.flows(),
                     (unsigned long long)r.quanta);
+        for (std::size_t i = 0; i < r.shards.size(); ++i) {
+            const ShardRunStats &st = r.shards[i];
+            std::printf("scaling :   shard %zu  busy %.3fs  pump %.3fs  "
+                        "wait %.3fs\n",
+                        i, double(st.busyNs) * 1e-9,
+                        double(st.pumpNs) * 1e-9,
+                        double(st.waitNs) * 1e-9);
+        }
         if (r.rcvd != r.sent) {
             std::fprintf(stderr,
                          "FAIL: free-run shards=%u lost frames "

@@ -95,22 +95,40 @@ operator new[](std::size_t n, std::align_val_t al)
     return ::operator new(n, al);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::align_val_t) noexcept
+namespace
+{
+/**
+ * Every replacement delete frees through this one out-of-line call.
+ * Were free() inlined into a caller next to an inlined operator new,
+ * GCC's -Wmismatched-new-delete would flag the pair even though both
+ * replacements use malloc/free underneath.
+ */
+[[gnu::noinline]] void
+releaseBlock(void *p) noexcept
 {
     std::free(p);
+}
+} // namespace
+
+void operator delete(void *p) noexcept { releaseBlock(p); }
+void operator delete[](void *p) noexcept { releaseBlock(p); }
+void operator delete(void *p, std::size_t) noexcept { releaseBlock(p); }
+void operator delete[](void *p, std::size_t) noexcept { releaseBlock(p); }
+void operator delete(void *p, std::align_val_t) noexcept
+{
+    releaseBlock(p);
+}
+void operator delete[](void *p, std::align_val_t) noexcept
+{
+    releaseBlock(p);
 }
 void operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 void operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 using namespace netdimm;

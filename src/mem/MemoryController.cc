@@ -69,17 +69,21 @@ MemoryController::scheduleService(Tick when)
     // A pending service event normally covers any new arrival: its
     // tick is the minimum ready time of the queued beats, and new
     // beats become ready frontendLatency after *their* enqueue. The
-    // exception is a StaticCap wakeup parked at the budget-admission
-    // tick: a host request arriving underneath it must not wait for
-    // the handler budget, so pull the service forward. The stale
-    // later event still fires and drains nothing.
+    // exception is a StaticCap or lazy-issue wakeup parked at the
+    // bus-admission tick: a host request arriving underneath it must
+    // not wait for it, so pull the service forward. The later event
+    // is cancelled, keeping at most one service event pending; left
+    // in place it would run service() again and start a second
+    // self-rescheduling chain.
     Tick at = std::max(when, curTick());
-    if (_serviceScheduled && at >= _serviceAt)
-        return;
-    _serviceScheduled = true;
+    if (_serviceEvent != EventQueue::invalidHandle) {
+        if (at >= _serviceAt)
+            return;
+        eventq().deschedule(_serviceEvent);
+    }
     _serviceAt = at;
-    eventq().schedule(at, [this] {
-        _serviceScheduled = false;
+    _serviceEvent = eventq().schedule(at, [this] {
+        _serviceEvent = EventQueue::invalidHandle;
         service();
     }, EventPriority::Maintenance);
 }

@@ -30,6 +30,7 @@
 #include "sim/SimObject.hh"
 #include "sim/Stats.hh"
 #include "sim/SystemConfig.hh"
+#include "sim/VectorFifo.hh"
 
 namespace netdimm
 {
@@ -170,55 +171,9 @@ class MemoryController : public SimObject, public MemTarget
         Tick ready; ///< earliest schedulable tick (frontend applied)
     };
 
-    /**
-     * FIFO of beats with amortized-zero steady-state allocation: a
-     * vector plus a head cursor. pickBeat() erases inside a small
-     * window at the front (shifting at most that window), and the
-     * dead prefix is reclaimed when the queue drains or outgrows
-     * half the buffer. A deque frees and reallocates its chunks
-     * every time the queue length oscillates around a chunk
-     * boundary, which showed up as the dominant steady-state
-     * allocation source in the replay profile.
-     */
-    class BeatQueue
-    {
-      public:
-        std::size_t size() const { return _buf.size() - _head; }
-        bool empty() const { return _head == _buf.size(); }
-        Beat &operator[](std::size_t i) { return _buf[_head + i]; }
-        const Beat &
-        operator[](std::size_t i) const
-        {
-            return _buf[_head + i];
-        }
-        Beat *begin() { return _buf.data() + _head; }
-        Beat *end() { return _buf.data() + _buf.size(); }
-        const Beat *begin() const { return _buf.data() + _head; }
-        const Beat *end() const { return _buf.data() + _buf.size(); }
-
-        void push_back(Beat b) { _buf.push_back(std::move(b)); }
-
-        /** Remove element @p i (front-relative), preserving order. */
-        void
-        erase(std::size_t i)
-        {
-            for (std::size_t pos = _head + i; pos > _head; --pos)
-                _buf[pos] = std::move(_buf[pos - 1]);
-            ++_head;
-            if (_head == _buf.size()) {
-                _buf.clear(); // capacity retained
-                _head = 0;
-            } else if (_head > 64 && _head > _buf.size() / 2) {
-                _buf.erase(_buf.begin(),
-                           _buf.begin() + std::ptrdiff_t(_head));
-                _head = 0;
-            }
-        }
-
-      private:
-        std::vector<Beat> _buf;
-        std::size_t _head = 0;
-    };
+    /** Beats in enqueue order; pickBeat() erases inside a small
+     *  window at the front. */
+    using BeatQueue = VectorFifo<Beat>;
 
     struct BankState
     {
@@ -244,8 +199,9 @@ class MemoryController : public SimObject, public MemTarget
     BeatQueue _writeQ;
     std::size_t _drainHi = 0; ///< precomputed write-drain watermark
     bool _draining = false;
-    bool _serviceScheduled = false;
-    Tick _serviceAt = 0; ///< tick of the earliest pending service event
+    /** The one pending service event, or EventQueue::invalidHandle. */
+    std::uint64_t _serviceEvent = EventQueue::invalidHandle;
+    Tick _serviceAt = 0; ///< tick of the pending service event
 
     // -- handler-class arbitration state ------------------------------
     /** Handler beats currently queued (both queues). When zero,

@@ -2,8 +2,8 @@
  * @file
  * Shared destination-node routing machinery for the switch models.
  *
- * Both the store-and-forward Switch (egress = EthLink) and the
- * analytic ClosFabric boundary router (egress = NetEndpoint) keep a
+ * Both the store-and-forward Switch (egress = index of an ECMP group)
+ * and the analytic ClosFabric boundary router (egress = NetEndpoint) keep a
  * destination-node table with an optional default route and count
  * frames that match nothing as dropsNoRoute. RouteTable owns that
  * logic once so the two cannot drift.
@@ -17,7 +17,7 @@
 #define NETDIMM_NET_ROUTING_HH
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "sim/Stats.hh"
 
@@ -46,32 +46,44 @@ ecmpFlowHash(std::uint32_t src, std::uint32_t dst, std::uint64_t flow)
  * Destination-node route table: node id -> egress, with an optional
  * default egress and a dropsNoRoute counter the owner increments via
  * noteNoRoute() when a resolve() miss makes it drop the frame.
+ *
+ * Node ids are small and dense (procedural fabric ids, endpoint
+ * indices), so the table is a vector indexed by node id with a
+ * presence flag per slot: resolve() is one bounds check and one load
+ * on the per-frame path, and forEach() visits routes in ascending
+ * node order.
  */
 template <typename Egress>
 class RouteTable
 {
   public:
+    /** Route @p node_id to @p egress, replacing any earlier route. */
     void
     add(std::uint32_t node_id, Egress egress)
     {
-        _routes[node_id] = std::move(egress);
+        if (node_id >= _slots.size())
+            _slots.resize(std::size_t(node_id) + 1);
+        Slot &s = _slots[node_id];
+        if (!s.present)
+            ++_size;
+        s.egress = std::move(egress);
+        s.present = true;
     }
 
     void
     setDefault(Egress egress)
     {
-        _default = std::move(egress);
-        _hasDefault = true;
+        _default.egress = std::move(egress);
+        _default.present = true;
     }
 
     /** @return the egress for @p node_id (or the default), or null. */
     Egress *
     resolve(std::uint32_t node_id)
     {
-        auto it = _routes.find(node_id);
-        if (it != _routes.end())
-            return &it->second;
-        return _hasDefault ? &_default : nullptr;
+        if (node_id < _slots.size() && _slots[node_id].present)
+            return &_slots[node_id].egress;
+        return _default.present ? &_default.egress : nullptr;
     }
 
     /** Count one frame dropped for lack of any route. */
@@ -83,21 +95,31 @@ class RouteTable
     }
 
     /** Installed explicit routes (excluding the default). */
-    std::size_t size() const { return _routes.size(); }
+    std::size_t size() const { return _size; }
 
-    auto begin() { return _routes.begin(); }
-    auto end() { return _routes.end(); }
-    auto begin() const { return _routes.begin(); }
-    auto end() const { return _routes.end(); }
+    /** Call @p fn(node_id, egress) per explicit route, ascending. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t n = 0; n < _slots.size(); ++n)
+            if (_slots[n].present)
+                fn(std::uint32_t(n), _slots[n].egress);
+    }
 
-    bool hasDefault() const { return _hasDefault; }
-    Egress &defaultEgress() { return _default; }
-    const Egress &defaultEgress() const { return _default; }
+    bool hasDefault() const { return _default.present; }
+    const Egress &defaultEgress() const { return _default.egress; }
 
   private:
-    std::map<std::uint32_t, Egress> _routes;
-    Egress _default{};
-    bool _hasDefault = false;
+    struct Slot
+    {
+        Egress egress{};
+        bool present = false;
+    };
+
+    std::vector<Slot> _slots;
+    std::size_t _size = 0;
+    Slot _default;
     stats::Scalar _dropsNoRoute;
 };
 

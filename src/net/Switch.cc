@@ -18,105 +18,128 @@ Switch::Switch(EventQueue &eq, std::string name, const EthConfig &cfg)
 {
 }
 
-Switch::EcmpGroup
-Switch::makeGroup(const std::vector<EthLink *> &members)
+Switch::Port &
+Switch::portFor(EthLink *link)
 {
-    EcmpGroup g;
-    g.members = members;
-    g.live.reserve(members.size());
-    for (EthLink *m : members) {
-        ND_ASSERT(m);
-        g.live.push_back(m->up());
-        watch(m);
+    ND_ASSERT(link);
+    auto [it, fresh] = _portOf.try_emplace(link, nullptr);
+    if (fresh) {
+        Port *port = &_ports.emplace_back(link);
+        it->second = port;
+        link->addStateListener(
+            [this, port](EthLink &, bool up) { onLinkState(*port, up); });
     }
-    return g;
+    return *it->second;
+}
+
+std::uint32_t
+Switch::groupFor(const std::vector<EthLink *> &links)
+{
+    std::vector<Port *> members;
+    members.reserve(links.size());
+    for (EthLink *l : links)
+        members.push_back(&portFor(l));
+    // Identical member lists share one group, so re-advertising a
+    // route reuses its group. A single-member group is keyed on its
+    // port (a switch with one route per attached node holds one such
+    // group per node); any other list costs one map lookup.
+    std::uint32_t *slot;
+    if (members.size() == 1) {
+        slot = &members[0]->soloGroup;
+    } else {
+        slot = &_groupOf.try_emplace(members, noGroup).first->second;
+    }
+    if (*slot != noGroup)
+        return *slot;
+
+    EcmpGroup g;
+    g.live.reserve(members.size());
+    for (Port *m : members) {
+        bool up = m->link->up();
+        g.live.push_back(up);
+        g.liveCount += up ? 1 : 0;
+    }
+    g.members = std::move(members);
+    *slot = std::uint32_t(_groups.size());
+    _groups.push_back(std::move(g));
+    return *slot;
 }
 
 void
 Switch::addRoute(std::uint32_t node_id, EthLink *out)
 {
-    ND_ASSERT(out);
-    _routes.add(node_id, makeGroup({out}));
+    _routes.add(node_id, groupFor({out}));
 }
 
 void
 Switch::addEcmpRoute(std::uint32_t node_id,
                      const std::vector<EthLink *> &members)
 {
-    _routes.add(node_id, makeGroup(members));
+    _routes.add(node_id, groupFor(members));
 }
 
 void
 Switch::setDefaultRoute(EthLink *out)
 {
-    ND_ASSERT(out);
-    _routes.setDefault(makeGroup({out}));
+    _routes.setDefault(groupFor({out}));
 }
 
 void
-Switch::watch(EthLink *link)
+Switch::onLinkState(Port &port, bool up)
 {
-    if (!_watched.insert(link).second)
-        return;
-    link->addStateListener(
-        [this](EthLink &l, bool up) { onLinkState(l, up); });
-}
+    for (EcmpGroup &g : _groups) {
+        for (std::size_t i = 0; i < g.members.size(); ++i) {
+            if (g.members[i] != &port || bool(g.live[i]) == up)
+                continue;
+            g.live[i] = up;
+            if (up)
+                ++g.liveCount;
+            else
+                --g.liveCount;
+        }
+    }
 
-void
-Switch::onLinkState(EthLink &link, bool up)
-{
-    auto update = [&](EcmpGroup &g) {
-        for (std::size_t i = 0; i < g.members.size(); ++i)
-            if (g.members[i] == &link)
-                g.live[i] = up;
-    };
-    for (auto &[node, group] : _routes)
-        update(group);
-    if (_routes.hasDefault())
-        update(_routes.defaultEgress());
-
-    if (!up) {
+    if (!up && !port.queue.empty()) {
         // Frames already queued toward the dead link can never leave;
         // real switches flush them (and the transport retransmits).
-        auto it = _ports.find(&link);
-        if (it != _ports.end() && !it->second.queue.empty()) {
-            _dropsLinkDown.inc(it->second.queue.size());
-            debugLog("%s: flushing %zu frames queued toward dead "
-                     "link %s",
-                     name().c_str(), it->second.queue.size(),
-                     link.name().c_str());
-            it->second.queue.clear();
-        }
+        _dropsLinkDown.inc(port.queue.size());
+        debugLog("%s: flushing %zu frames queued toward dead "
+                 "link %s",
+                 name().c_str(), port.queue.size(),
+                 port.link->name().c_str());
+        port.queue.clear();
     }
 }
 
 std::size_t
 Switch::queueDepth(const EthLink *out) const
 {
-    auto it = _ports.find(const_cast<EthLink *>(out));
-    if (it == _ports.end())
-        return 0;
-    return it->second.queue.size() + (it->second.draining ? 1 : 0);
+    auto it = _portOf.find(out);
+    return it == _portOf.end() ? 0 : it->second->depth();
 }
 
 void
 Switch::setBackgroundSource(EthLink *out, FluidBackground *bg)
 {
-    if (bg)
-        _bg[out] = bg;
-    else
-        _bg.erase(out);
+    if (bg) {
+        portFor(out).bg = bg;
+        return;
+    }
+    auto it = _portOf.find(out);
+    if (it != _portOf.end())
+        it->second->bg = nullptr;
 }
 
 std::uint32_t
 Switch::degradedGroups() const
 {
     std::uint32_t n = 0;
-    for (const auto &[node, group] : _routes)
-        if (group.liveCount() == 0)
+    _routes.forEach([&](std::uint32_t, std::uint32_t g) {
+        if (_groups[g].liveCount == 0)
             ++n;
+    });
     if (_routes.hasDefault() &&
-        _routes.defaultEgress().liveCount() == 0)
+        _groups[_routes.defaultEgress()].liveCount == 0)
         ++n;
     return n;
 }
@@ -131,17 +154,17 @@ Switch::totalGroups() const
 std::size_t
 Switch::liveMembers(std::uint32_t node_id)
 {
-    EcmpGroup *g = _routes.resolve(node_id);
-    return g ? g->liveCount() : 0;
+    const std::uint32_t *g = _routes.resolve(node_id);
+    return g ? _groups[*g].liveCount : 0;
 }
 
-EthLink *
-Switch::selectMember(EcmpGroup &g, const PacketPtr &pkt) const
+Switch::Port *
+Switch::selectMember(const EcmpGroup &g, const PacketPtr &pkt) const
 {
-    std::size_t live = g.liveCount();
+    std::size_t live = g.liveCount;
     if (live == 0)
         return nullptr;
-    if (live == g.members.size() && live == 1)
+    if (g.members.size() == 1)
         return g.members[0];
     // Hash over the live members only: the k-th live member, where k
     // is a pure function of the packet's flow-identifying fields. A
@@ -149,6 +172,8 @@ Switch::selectMember(EcmpGroup &g, const PacketPtr &pkt) const
     // unavoidable modulus reshuffle).
     std::size_t k = std::size_t(
         ecmpFlowHash(pkt->srcNode, pkt->dstNode, pkt->flowId) % live);
+    if (live == g.members.size())
+        return g.members[k];
     for (std::size_t i = 0; i < g.members.size(); ++i) {
         if (!g.live[i])
             continue;
@@ -162,7 +187,7 @@ Switch::selectMember(EcmpGroup &g, const PacketPtr &pkt) const
 void
 Switch::deliver(const PacketPtr &pkt)
 {
-    EcmpGroup *g = _routes.resolve(pkt->dstNode);
+    const std::uint32_t *g = _routes.resolve(pkt->dstNode);
     if (!g) {
         _routes.noteNoRoute();
         debugLog("%s: no route for node %u, dropping frame %llu",
@@ -170,7 +195,7 @@ Switch::deliver(const PacketPtr &pkt)
                  static_cast<unsigned long long>(pkt->id));
         return;
     }
-    EthLink *out = selectMember(*g, pkt);
+    Port *out = selectMember(_groups[*g], pkt);
     if (!out) {
         _dropsNoPath.inc();
         debugLog("%s: every path to node %u is down, dropping frame "
@@ -181,34 +206,27 @@ Switch::deliver(const PacketPtr &pkt)
     }
 
     pkt->lat.add(LatComp::Wire, _portLatency);
-    EthLink *link = out;
-    scheduleRel(_portLatency,
-                [this, link, pkt] { enqueue(link, pkt); });
+    scheduleRel(_portLatency, [this, out, pkt] { enqueue(*out, pkt); });
 }
 
 void
-Switch::enqueue(EthLink *out, const PacketPtr &pkt)
+Switch::enqueue(Port &port, const PacketPtr &pkt)
 {
     // The egress link may have died between lookup and enqueue; the
     // port-latency pipeline cannot un-route the frame, so it is lost
     // exactly like a frame flushed from the queue.
-    if (!out->up()) {
+    if (!port.link->up()) {
         _dropsLinkDown.inc();
         return;
     }
-    Port &port = _ports[out];
-    // Occupancy counts the frame on the transmitter plus the queue.
-    std::size_t depth = port.queue.size() + (port.draining ? 1 : 0);
-    if (!_bg.empty()) {
-        auto it = _bg.find(out);
-        if (it != _bg.end() && it->second)
-            depth += it->second->backlogFramesAt(curTick());
-    }
+    std::size_t depth = port.depth();
+    if (port.bg)
+        depth += port.bg->backlogFramesAt(curTick());
     if (_queueFrames > 0 && depth >= _queueFrames) {
         _dropsQueue.inc();
         debugLog("%s: egress queue to %s full (%zu), tail-dropping "
                  "frame %llu",
-                 name().c_str(), out->name().c_str(), depth,
+                 name().c_str(), port.link->name().c_str(), depth,
                  static_cast<unsigned long long>(pkt->id));
         return;
     }
@@ -220,24 +238,23 @@ Switch::enqueue(EthLink *out, const PacketPtr &pkt)
     _maxDepth = std::max<std::uint64_t>(_maxDepth, depth + 1);
     port.queue.push_back(pkt);
     if (!port.draining)
-        drain(out);
+        drain(port);
 }
 
 void
-Switch::drain(EthLink *out)
+Switch::drain(Port &port)
 {
-    Port &port = _ports.at(out);
     if (port.queue.empty()) {
         port.draining = false;
         return;
     }
     port.draining = true;
-    PacketPtr pkt = port.queue.front();
-    port.queue.pop_front();
-    out->send(this, pkt);
+    PacketPtr pkt = port.queue.pop_front();
+    port.link->send(this, pkt);
     // The next frame may start once this one finished serializing.
-    scheduleRel(out->frameTicks(pkt->bytes),
-                [this, out] { drain(out); });
+    Port *p = &port;
+    scheduleRel(port.link->frameTicks(pkt->bytes),
+                [this, p] { drain(*p); });
 }
 
 std::uint32_t

@@ -13,12 +13,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include "net/Link.hh"
 #include "net/Routing.hh"
+#include "sim/VectorFifo.hh"
 
 namespace netdimm
 {
@@ -106,9 +105,10 @@ class Switch : public SimObject, public NetEndpoint
      */
     void setBackgroundSource(EthLink *out, FluidBackground *bg);
 
-    /** ECMP groups whose members are currently all down. */
+    /** Installed routes (incl. the default) whose ECMP group has no
+     *  live member; routes sharing one group count separately. */
     std::uint32_t degradedGroups() const;
-    /** Total ECMP groups installed (incl. the default route). */
+    /** Installed routes, incl. the default route. */
     std::uint32_t totalGroups() const;
     /** True while any group has no live member. */
     bool degraded() const { return degradedGroups() > 0; }
@@ -116,40 +116,61 @@ class Switch : public SimObject, public NetEndpoint
     std::size_t liveMembers(std::uint32_t node_id);
 
   private:
-    /** One multipath route: candidate egress links + live set. */
-    struct EcmpGroup
-    {
-        std::vector<EthLink *> members;
-        /** live[i] mirrors members[i]->up(), maintained by link-state
-         *  notifications so exclusion is immediate. */
-        std::vector<bool> live;
+    static constexpr std::uint32_t noGroup = ~std::uint32_t(0);
 
-        std::size_t
-        liveCount() const
+    /**
+     * Egress state of one output link, created when a route first
+     * names the link. Ports never move, so ECMP groups, in-flight
+     * enqueue/drain events and the link's state listener hold Port
+     * pointers and the frame path never searches a map.
+     */
+    struct Port
+    {
+        explicit Port(EthLink *l) : link(l) {}
+
+        EthLink *link;
+        /** Fluid backlog counted toward the depth, or null. */
+        FluidBackground *bg = nullptr;
+        /** Allocates nothing before the port's first frame. */
+        VectorFifo<PacketPtr> queue;
+        /** A frame is occupying the transmitter. */
+        bool draining = false;
+        /** Index of the single-member group {this port}, if any. */
+        std::uint32_t soloGroup = noGroup;
+
+        /** Occupancy: the frame on the transmitter plus the queue. */
+        std::size_t depth() const
         {
-            std::size_t n = 0;
-            for (bool l : live)
-                n += l ? 1 : 0;
-            return n;
+            return queue.size() + (draining ? 1 : 0);
         }
     };
 
-    /** Egress state of one output link. */
-    struct Port
+    /**
+     * One ordered list of candidate egress ports, shared by every
+     * route that installs the same list (a leaf's cross-rack routes
+     * all share one spine group).
+     */
+    struct EcmpGroup
     {
-        std::deque<PacketPtr> queue;
-        /** A frame is occupying the transmitter. */
-        bool draining = false;
+        std::vector<Port *> members;
+        /** live[i] mirrors members[i]->link->up(), maintained by
+         *  link-state notifications so exclusion is immediate. */
+        std::vector<std::uint8_t> live;
+        std::size_t liveCount = 0;
     };
 
     Tick _portLatency;
     std::uint32_t _queueFrames;
     std::uint32_t _ecnThreshold;
-    RouteTable<EcmpGroup> _routes;
-    /** Links this switch already listens to for up/down edges. */
-    std::set<EthLink *> _watched;
-    std::map<EthLink *, Port> _ports;
-    std::map<EthLink *, FluidBackground *> _bg;
+    /** Destination node -> index into _groups. */
+    RouteTable<std::uint32_t> _routes;
+    std::vector<EcmpGroup> _groups;
+    /** Groups of zero or several members by member list; a
+     *  single-member group is found through its port instead. */
+    std::map<std::vector<Port *>, std::uint32_t> _groupOf;
+    std::deque<Port> _ports;
+    /** Route install and queueDepth() find a link's port here. */
+    std::map<const EthLink *, Port *> _portOf;
     stats::Scalar _frames;
     stats::Scalar _dropsQueue;
     stats::Scalar _dropsNoPath;
@@ -157,13 +178,16 @@ class Switch : public SimObject, public NetEndpoint
     stats::Scalar _ecnMarks;
     std::uint64_t _maxDepth = 0;
 
-    EcmpGroup makeGroup(const std::vector<EthLink *> &members);
-    void watch(EthLink *link);
-    void onLinkState(EthLink &link, bool up);
+    /** The port of @p link, created (and listening to the link's
+     *  up/down edges) on first use. */
+    Port &portFor(EthLink *link);
+    /** Index of the group with exactly @p links as members. */
+    std::uint32_t groupFor(const std::vector<EthLink *> &links);
+    void onLinkState(Port &port, bool up);
     /** Flow-hash one egress out of @p g's live members, or null. */
-    EthLink *selectMember(EcmpGroup &g, const PacketPtr &pkt) const;
-    void enqueue(EthLink *out, const PacketPtr &pkt);
-    void drain(EthLink *out);
+    Port *selectMember(const EcmpGroup &g, const PacketPtr &pkt) const;
+    void enqueue(Port &port, const PacketPtr &pkt);
+    void drain(Port &port);
 };
 
 /** @return switch hop count for a locality class. */

@@ -101,10 +101,24 @@ ParallelSim::totalExecuted() const
     return n;
 }
 
+namespace
+{
+
+std::uint64_t
+nsBetween(std::chrono::steady_clock::time_point from,
+          std::chrono::steady_clock::time_point to)
+{
+    return std::uint64_t(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+            .count());
+}
+
+} // namespace
+
 void
 ParallelSim::stepQuantum(ShardHost &host, std::uint64_t k,
                          Tick quantum, Tick horizon,
-                         ShardRunStats &stats)
+                         ShardRunStats &stats, Clock::time_point &mark)
 {
     // Everything a neighbor sent while executing quantum k-1 (send
     // ticks in [(k-1)Q, kQ)) is in the channels by now; pump exactly
@@ -113,9 +127,13 @@ ParallelSim::stepQuantum(ShardHost &host, std::uint64_t k,
     // never in this shard's past.
     Tick q_start = Tick(k) * quantum;
     stats.pumped += host.pumpAll(q_start);
+    Clock::time_point pumped = Clock::now();
+    stats.pumpNs += nsBetween(mark, pumped);
     Tick q_end = std::min(q_start + quantum, horizon) - 1;
     stats.executed += host._eq.runUntil(q_end);
     ++stats.quanta;
+    mark = Clock::now();
+    stats.busyNs += nsBetween(pumped, mark);
 }
 
 void
@@ -150,9 +168,13 @@ ParallelSim::runMerge(Tick horizon,
         build(*hosts[s]);
     }
     std::uint64_t quanta = (horizon + _quantum - 1) / _quantum;
+    // One thread steps every shard back to back, so each step starts
+    // where the previous one ended and nothing is ever waited for.
+    Clock::time_point mark = Clock::now();
     for (std::uint64_t k = 0; k < quanta; ++k) {
         for (unsigned s = 0; s < _shards; ++s)
-            stepQuantum(*hosts[s], k, _quantum, horizon, _stats[s]);
+            stepQuantum(*hosts[s], k, _quantum, horizon, _stats[s],
+                        mark);
     }
     for (unsigned s = 0; s < _shards; ++s) {
         for (auto &fn : hosts[s]->_atEnd)
@@ -192,10 +214,16 @@ ParallelSim::runFree(Tick horizon,
                     built.wait(b, std::memory_order_acquire);
                     b = built.load(std::memory_order_acquire);
                 }
+                // Three clock reads per quantum: after the wait,
+                // after the pump and after the events.
+                Clock::time_point mark = Clock::now();
                 for (std::uint64_t k = 0; k < quanta; ++k) {
                     waitTurn(s, k);
+                    Clock::time_point woke = Clock::now();
+                    _stats[s].waitNs += nsBetween(mark, woke);
+                    mark = woke;
                     stepQuantum(*host, k, _quantum, horizon,
-                                _stats[s]);
+                                _stats[s], mark);
                     _done[s].v.store(k + 1,
                                      std::memory_order_release);
                     _done[s].v.notify_all();

@@ -35,6 +35,7 @@
 #ifndef NETDIMM_SIM_PARALLELSIM_HH
 #define NETDIMM_SIM_PARALLELSIM_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -145,6 +146,13 @@ struct ShardRunStats
     std::uint64_t executed = 0; ///< events dispatched by the shard
     std::uint64_t quanta = 0;   ///< sync quanta stepped
     std::uint64_t pumped = 0;   ///< cross-shard entries drained
+    /** Host wall time of the shard's quantum loop, split three ways:
+     *  executing events, draining ingress channels, and (FreeRun
+     *  only) waiting for the neighbours' promises, which includes
+     *  publishing its own. */
+    std::uint64_t busyNs = 0;
+    std::uint64_t pumpNs = 0;
+    std::uint64_t waitNs = 0;
     /** The shard thread's object-pool totals at teardown (FreeRun);
      *  caller-thread totals in DeterministicMerge. */
     PoolStats pools{};
@@ -216,10 +224,16 @@ class ParallelSim
     void runFree(Tick horizon,
                  const std::function<void(ShardHost &)> &build);
 
-    /** Quantum loop shared by both modes for ONE shard. */
+    using Clock = std::chrono::steady_clock;
+
+    /**
+     * Quantum loop shared by both modes for ONE shard. @p mark is
+     * the host time the step starts at; on return it holds the time
+     * the step ended (two clock reads per step).
+     */
     static void stepQuantum(ShardHost &host, std::uint64_t k,
                             Tick quantum, Tick horizon,
-                            ShardRunStats &stats);
+                            ShardRunStats &stats, Clock::time_point &mark);
 
     /** Block until every other shard has finished quantum k-1. */
     void waitTurn(unsigned self, std::uint64_t k);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/Routing.hh"
 #include "net/Topology.hh"
 #include "workload/IperfFlow.hh"
@@ -265,6 +267,27 @@ TEST(FabricFailover, QueuedFramesFlushWhenTheirLinkDies)
               16u);
 }
 
+TEST(FabricFailover, SharedMemberDeathReachesEveryDestinationBehindIt)
+{
+    EventQueue eq;
+    EthConfig cfg;
+    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    std::vector<std::unique_ptr<SinkEndpoint>> sinks;
+    for (std::uint32_t n = 0; n < 17; ++n) {
+        sinks.push_back(std::make_unique<SinkEndpoint>(eq));
+        topo.attach(n, n == 0 ? 0 : 1, sinks.back().get());
+    }
+
+    // Leaf 0 reaches nodes 1..16 through the same two uplinks: one
+    // member dying must show on every one of those routes at once.
+    topo.failLink(0, 0);
+    for (std::uint32_t n = 1; n <= 16; ++n)
+        EXPECT_EQ(topo.leaf(0).liveMembers(n), 1u) << "node " << n;
+    topo.recoverLink(0, 0);
+    for (std::uint32_t n = 1; n <= 16; ++n)
+        EXPECT_EQ(topo.leaf(0).liveMembers(n), 2u) << "node " << n;
+}
+
 // ---------------------------------------------------------------------
 // Fabric health and whole-spine failure
 // ---------------------------------------------------------------------
@@ -305,6 +328,39 @@ TEST(FabricHealthReport, TracksLiveLinksBisectionAndDegradation)
     EXPECT_EQ(h.liveUplinks, 4u);
     EXPECT_TRUE(h.fullyConnected());
     EXPECT_FALSE(topo.degraded());
+}
+
+TEST(FabricHealthReport, GroupCountsArePerInstalledRoute)
+{
+    EventQueue eq;
+    EthConfig cfg;
+    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    std::vector<std::unique_ptr<SinkEndpoint>> sinks;
+    for (std::uint32_t n = 0; n < 5; ++n) {
+        sinks.push_back(std::make_unique<SinkEndpoint>(eq));
+        topo.attach(n, n == 0 ? 0 : 1, sinks.back().get());
+    }
+    // Leaf 0: one local route + four cross-rack routes; leaf 1: four
+    // local routes + one cross-rack route.
+    FabricHealth h = topo.health();
+    EXPECT_EQ(h.totalGroups, 10u);
+    EXPECT_EQ(h.degradedGroups, 0u);
+
+    // With every spine down each cross-rack route is withdrawn. The
+    // withdrawn routes count one by one, however the switch stores
+    // them: four on leaf 0, one on leaf 1.
+    topo.failSpine(0);
+    topo.failSpine(1);
+    h = topo.health();
+    EXPECT_EQ(h.totalGroups, 10u);
+    EXPECT_EQ(h.degradedGroups, 5u);
+    EXPECT_EQ(topo.leaf(0).degradedGroups(), 4u);
+
+    topo.recoverSpine(0);
+    topo.recoverSpine(1);
+    h = topo.health();
+    EXPECT_EQ(h.totalGroups, 10u);
+    EXPECT_EQ(h.degradedGroups, 0u);
 }
 
 TEST(FabricFaults, FlapSchedulesCloseTheRegistryLedger)

@@ -378,10 +378,14 @@ TEST(FidelityManager, ClassifiesByInterestWitnessAndHotWindow)
     EXPECT_EQ(mgr.classify(10, 1, 2, usToTicks(200)),
               FlowFidelity::FluidLevel);
     // Forced modes override everything.
-    FidelityManager pktOnly(FidelityPolicy{FidelityMode::Packet});
+    FidelityPolicy packetMode;
+    packetMode.mode = FidelityMode::Packet;
+    FidelityManager pktOnly(packetMode);
     EXPECT_EQ(pktOnly.classify(9, 1, 2, 0),
               FlowFidelity::PacketLevel);
-    FidelityManager fluidOnly(FidelityPolicy{FidelityMode::Fluid});
+    FidelityPolicy fluidMode;
+    fluidMode.mode = FidelityMode::Fluid;
+    FidelityManager fluidOnly(fluidMode);
     EXPECT_EQ(fluidOnly.classify(8, 7, 2, 0),
               FlowFidelity::FluidLevel);
 }

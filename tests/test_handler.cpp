@@ -380,8 +380,7 @@ namespace
 
 /** Issue @p n back-to-back 64B reads of @p src, return completions. */
 std::vector<Tick>
-burst(EventQueue &eq, MemoryController &mc, MemSource src, int n,
-      Addr base)
+burst(MemoryController &mc, MemSource src, int n, Addr base)
 {
     std::vector<Tick> done(n, 0);
     for (int i = 0; i < n; ++i) {
@@ -413,8 +412,8 @@ TEST(MemoryController, HostPriorityFavoursHostUnderContention)
     DramGeometry g = NetDimmDevice::localGeometry(cfg);
     MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
 
-    auto host = burst(eq, mc, MemSource::HostCpu, 32, 0);
-    auto hand = burst(eq, mc, MemSource::Handler, 32, 1u << 20);
+    auto host = burst(mc, MemSource::HostCpu, 32, 0);
+    auto hand = burst(mc, MemSource::Handler, 32, 1u << 20);
     eq.run();
     EXPECT_LT(meanT(host), meanT(hand));
 }
@@ -427,8 +426,8 @@ TEST(MemoryController, FairSitsBetweenPriorityExtremes)
         EventQueue eq;
         DramGeometry g = NetDimmDevice::localGeometry(cfg);
         MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
-        auto host = burst(eq, mc, MemSource::HostCpu, 32, 0);
-        auto hand = burst(eq, mc, MemSource::Handler, 32, 1u << 20);
+        auto host = burst(mc, MemSource::HostCpu, 32, 0);
+        auto hand = burst(mc, MemSource::Handler, 32, 1u << 20);
         eq.run();
         return meanT(hand) - meanT(host);
     };
@@ -446,8 +445,8 @@ TEST(MemoryController, StaticCapThrottlesHandlerClass)
         EventQueue eq;
         DramGeometry g = NetDimmDevice::localGeometry(cfg);
         MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
-        auto host = burst(eq, mc, MemSource::HostCpu, 16, 0);
-        auto hand = burst(eq, mc, MemSource::Handler, 16, 1u << 20);
+        auto host = burst(mc, MemSource::HostCpu, 16, 0);
+        auto hand = burst(mc, MemSource::Handler, 16, 1u << 20);
         eq.run();
         (void)host;
         return meanT(hand);
@@ -467,8 +466,8 @@ TEST(MemoryController, LegacyPathBitIdenticalWithoutHandlerTraffic)
         EventQueue eq;
         DramGeometry g = NetDimmDevice::localGeometry(cfg);
         MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
-        auto a = burst(eq, mc, MemSource::HostCpu, 24, 0);
-        auto b = burst(eq, mc, MemSource::HostDma, 24, 1u << 21);
+        auto a = burst(mc, MemSource::HostCpu, 24, 0);
+        auto b = burst(mc, MemSource::HostDma, 24, 1u << 21);
         eq.run();
         a.insert(a.end(), b.begin(), b.end());
         return a;

@@ -26,6 +26,21 @@ struct SinkEndpoint : NetEndpoint
     }
 };
 
+/** A fluid backlog frozen at a fixed number of frames. */
+struct FixedBacklog : FluidBackground
+{
+    std::uint64_t frames;
+
+    explicit FixedBacklog(std::uint64_t f) : frames(f) {}
+
+    std::uint64_t backlogWireBytesAt(Tick) const override
+    {
+        return frames * 1524;
+    }
+    std::uint64_t backlogFramesAt(Tick) const override { return frames; }
+    void onPacketWireBytes(std::uint32_t) override {}
+};
+
 } // namespace
 
 TEST(EthLink, FrameTicksIncludeFramingAndMinSize)
@@ -225,6 +240,114 @@ TEST(Switch, UnboundedQueueNeverDrops)
     EXPECT_EQ(n.got.size(), 200u);
     EXPECT_EQ(sw.dropsQueue(), 0u);
     EXPECT_EQ(sw.ecnMarks(), 0u);
+}
+
+TEST(RouteTable, ResolvesHitsMissesAndTheDefault)
+{
+    RouteTable<int> t;
+    t.add(3, 30);
+    ASSERT_NE(t.resolve(3), nullptr);
+    EXPECT_EQ(*t.resolve(3), 30);
+    // Below the highest installed id, and past the end of the table.
+    EXPECT_EQ(t.resolve(2), nullptr);
+    EXPECT_EQ(t.resolve(1000), nullptr);
+    EXPECT_EQ(t.size(), 1u);
+
+    t.setDefault(7);
+    ASSERT_NE(t.resolve(2), nullptr);
+    EXPECT_EQ(*t.resolve(2), 7);
+    EXPECT_EQ(*t.resolve(1000), 7);
+    EXPECT_EQ(*t.resolve(3), 30);
+    EXPECT_EQ(t.size(), 1u); // the default is not an explicit route
+}
+
+TEST(RouteTable, SecondAddForANodeReplacesTheFirst)
+{
+    RouteTable<int> t;
+    t.add(5, 1);
+    t.add(5, 2);
+    ASSERT_NE(t.resolve(5), nullptr);
+    EXPECT_EQ(*t.resolve(5), 2);
+    EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(RouteTable, ForEachVisitsRoutesInAscendingNodeOrder)
+{
+    RouteTable<int> t;
+    t.add(9, 90);
+    t.add(1, 10);
+    t.add(5, 50);
+    t.setDefault(-1);
+    std::vector<std::pair<std::uint32_t, int>> seen;
+    t.forEach([&](std::uint32_t n, int e) { seen.emplace_back(n, e); });
+    EXPECT_EQ(seen, (std::vector<std::pair<std::uint32_t, int>>{
+                        {1, 10}, {5, 50}, {9, 90}}));
+}
+
+TEST(Switch, FreshPortSeesBackgroundDepthForEcnAndTailDrop)
+{
+    EventQueue eq;
+    EthConfig cfg;
+    Switch sw(eq, "sw", 0, /*queue_frames=*/4, /*ecn_threshold=*/2);
+    EthLink l(eq, "l", cfg);
+    SinkEndpoint n(eq);
+    l.connect(&sw, &n);
+    sw.addRoute(1, &l);
+    // The port exists since route install but has never queued a
+    // frame; three fluid frames already wait ahead of it.
+    FixedBacklog bg(3);
+    sw.setBackgroundSource(&l, &bg);
+    EXPECT_EQ(sw.queueDepth(&l), 0u);
+
+    // Depth 3: accepted and marked. Depth 3 + the frame on the
+    // transmitter = 4: tail-dropped.
+    sw.deliver(makePacket(1460, 0, 1));
+    sw.deliver(makePacket(1460, 0, 1));
+    eq.run();
+    ASSERT_EQ(n.got.size(), 1u);
+    EXPECT_TRUE(n.got[0].first->ecnMarked);
+    EXPECT_EQ(sw.ecnMarks(), 1u);
+    EXPECT_EQ(sw.dropsQueue(), 1u);
+    EXPECT_EQ(sw.maxQueueDepth(), 4u);
+}
+
+TEST(Switch, FreshPortWithoutBackgroundStartsEmpty)
+{
+    EventQueue eq;
+    EthConfig cfg;
+    Switch sw(eq, "sw", 0, /*queue_frames=*/1, /*ecn_threshold=*/1);
+    EthLink l(eq, "l", cfg);
+    SinkEndpoint n(eq);
+    l.connect(&sw, &n);
+    sw.addRoute(1, &l);
+
+    // Depth 0 on a never-used port: below both thresholds of 1.
+    sw.deliver(makePacket(1460, 0, 1));
+    eq.run();
+    ASSERT_EQ(n.got.size(), 1u);
+    EXPECT_FALSE(n.got[0].first->ecnMarked);
+    EXPECT_EQ(sw.dropsQueue(), 0u);
+    EXPECT_EQ(sw.maxQueueDepth(), 1u);
+}
+
+TEST(Switch, NullBackgroundSourceDetaches)
+{
+    EventQueue eq;
+    EthConfig cfg;
+    Switch sw(eq, "sw", 0, /*queue_frames=*/4, /*ecn_threshold=*/2);
+    EthLink l(eq, "l", cfg);
+    SinkEndpoint n(eq);
+    l.connect(&sw, &n);
+    sw.addRoute(1, &l);
+    FixedBacklog bg(100);
+    sw.setBackgroundSource(&l, &bg);
+    sw.setBackgroundSource(&l, nullptr);
+
+    sw.deliver(makePacket(1460, 0, 1));
+    eq.run();
+    ASSERT_EQ(n.got.size(), 1u);
+    EXPECT_FALSE(n.got[0].first->ecnMarked);
+    EXPECT_EQ(sw.dropsQueue(), 0u);
 }
 
 TEST(Locality, HopCountsAreMonotonic)

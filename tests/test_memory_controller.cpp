@@ -287,3 +287,34 @@ TEST(MemoryController, RowHitScanWindowIsEightReadyBeats)
         EXPECT_EQ(far.issued[1], Addr(64));
     }
 }
+
+TEST(MemoryController, OneServiceEventPendingUnderLazyIssue)
+{
+    // HostPriority with handler beats queued issues lazily: between
+    // beats the controller parks one service event at the next bus
+    // admission point. A host read arriving underneath that wakeup
+    // pulls service forward; the parked event must be cancelled, not
+    // left to start a second self-rescheduling service chain. With
+    // one chain per pull-forward the event count grows with the
+    // product of host arrivals and queued beats instead of their sum.
+    Fixture f;
+    ASSERT_EQ(f.cfg.memCtrl.handlerArb, MemArbPolicy::HostPriority);
+    const int handlerReqs = 256; // 4 KiB each: 64 beats apiece
+    const int hostReads = 200;
+    for (int i = 0; i < handlerReqs; ++i)
+        f.mc.access(makeMemRequest(Addr(i) * 4096, 4096, false,
+                                   MemSource::Handler, nullptr));
+    for (int i = 0; i < hostReads; ++i) {
+        f.eq.schedule(nsToTicks(20) * Tick(i + 1), [&f, i] {
+            f.mc.access(makeMemRequest(Addr(1) << 30 | Addr(i) * 64,
+                                       64, false, MemSource::HostCpu,
+                                       nullptr));
+        });
+    }
+    std::uint64_t executed = f.eq.run();
+
+    const std::uint64_t beats =
+        std::uint64_t(handlerReqs) * 64 + std::uint64_t(hostReads);
+    ASSERT_EQ(f.mc.beatsServiced(), beats);
+    EXPECT_LE(executed, 2 * beats);
+}

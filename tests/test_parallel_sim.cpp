@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -156,6 +157,46 @@ TEST(ParallelSim, LocalEventsRunOnOwningShard)
     EXPECT_EQ(sim.totalExecuted(),
               fired.load(std::memory_order_relaxed));
     EXPECT_GT(sim.totalExecuted(), 0u);
+}
+
+TEST(ParallelSim, ShardHostTimeSplitsIntoBusyPumpAndWait)
+{
+    // Shard 0 spins 200 us of host time in each of its 10 quanta;
+    // shard 1 has no events, so free-running it can only block on
+    // shard 0's promises. Merge mode steps shards back to back on one
+    // thread and never waits.
+    using Clock = std::chrono::steady_clock;
+    const auto spin = std::chrono::microseconds(200);
+    for (auto mode : {ParallelSim::Mode::DeterministicMerge,
+                      ParallelSim::Mode::FreeRun}) {
+        ParallelSim sim(2, 100, mode);
+        Clock::time_point t0 = Clock::now();
+        sim.run(1000, [spin](ShardHost &host) {
+            if (host.shardId() != 0)
+                return;
+            for (Tick t = 0; t < 1000; t += 100)
+                host.eventq().schedule(t, [spin] {
+                    Clock::time_point end = Clock::now() + spin;
+                    while (Clock::now() < end) {
+                    }
+                });
+        });
+        std::uint64_t wallNs = std::uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - t0)
+                .count());
+
+        const std::vector<ShardRunStats> &st = sim.shardStats();
+        EXPECT_GE(st[0].busyNs, 10u * 200000u);
+        for (const ShardRunStats &s : st)
+            EXPECT_LE(s.busyNs + s.pumpNs + s.waitNs, wallNs);
+        if (mode == ParallelSim::Mode::DeterministicMerge) {
+            EXPECT_EQ(st[0].waitNs, 0u);
+            EXPECT_EQ(st[1].waitNs, 0u);
+        } else {
+            EXPECT_GT(st[1].waitNs, 0u);
+        }
+    }
 }
 
 TEST(ParallelSimDeath, RejectsZeroShardsAndDoubleRun)
