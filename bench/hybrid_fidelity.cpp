@@ -2,8 +2,8 @@
  * @file
  * Hybrid-fidelity accuracy-and-scale campaign (DESIGN.md §17): 1024
  * bulk senders share one 40 Gbps bottleneck through a single
- * output-queued switch, at several overload factors. Every scenario
- * runs three ways:
+ * output-queued switch, at one saturated overload factor plus
+ * ungated reference loads. Every scenario runs three ways:
  *
  *  - packet: every bulk flow is a full TransportFlow (the reference);
  *  - hybrid: a FidelityManager keeps a witness sample of bulk flows
@@ -16,7 +16,7 @@
  * deliberately NOT a multiple of the solver period apart, so probes
  * do not alias onto round boundaries) measures one-way latency
  * through the shared bottleneck; the witness histogram is the
- * accuracy metric. Gates, checked over every gated load point:
+ * accuracy metric. Gates, checked at the gated saturation point:
  *
  *  - hybrid witness p99 within 5% of the packet-level run;
  *  - >= 20x executed-event reduction packet -> hybrid;
@@ -574,31 +574,34 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Short mode trims the load grid, not the horizon: the witness
-    // p99 integrates over ~5 congestion-oscillation cycles, and a
-    // shorter measurement window would compare different phases of
-    // the two domains' limit cycles instead of their envelopes.
+    // Short mode drops the capacity-knee reference row, not the
+    // horizon: the witness p99 integrates over ~5
+    // congestion-oscillation cycles, and a shorter measurement window
+    // would compare different phases of the two domains' limit
+    // cycles instead of their envelopes.
     Knobs base;
-    // Gated load points are all deep into saturation: bulk-dominated
-    // overload, the regime the fluid abstraction is built for. The
+    // One gated load point, deep into saturation: bulk-dominated
+    // overload, the regime the fluid abstraction is built for. Above
+    // ~2x the per-flow demand ceiling never binds, so every
+    // saturated load runs the identical scenario, byte for byte in
+    // all three domains, and one point covers the plateau. The
     // ungated reference rows document the two known limits: below
     // capacity the fluid backlog is identically zero (no stochastic
     // queueing), and at the capacity knee the oscillation amplitude
     // is set by sender-rate dispersion that a deterministic fluid
     // aggregate underresolves (DESIGN.md S17).
-    std::vector<double> loads = cli.shortMode
-                                    ? std::vector<double>{2.5, 3.5}
-                                    : std::vector<double>{2.0, 2.5,
-                                                          3.0, 3.5};
-    struct Ref
+    constexpr double kSaturationLoad = 2.5;
+    struct Point
     {
         double load;
+        /** Why the row is reported but not gated; nullptr = gated. */
         const char *why;
     };
-    std::vector<Ref> references = {
+    std::vector<Point> points = {
+        {kSaturationLoad, nullptr},
         {0.5, "sub-capacity queueing is out of fluid scope"}};
     if (!cli.shortMode)
-        references.push_back(
+        points.push_back(
             {1.25, "capacity knee: dispersion-dominated amplitude"});
 
     std::printf("=== hybrid_fidelity (%s mode): %u bulk senders, "
@@ -610,22 +613,20 @@ main(int argc, char **argv)
         // Single-domain run: table only, no cross-mode gates.
         std::printf("-- %s fidelity only --\n",
                     fidelityModeName(cli.fidelity));
-        for (double load : loads) {
-            Knobs k = base;
-            k.load = load;
-            RunOut r = runScenario(k, cli.fidelity, false, traceFlag);
-            std::printf("load %.2fx: p50 %8.0f ns  p99 %8.0f ns  "
-                        "probes %llu/%llu  events %llu  cuts %llu  "
-                        "marks %llu  delivered %.3f MB\n",
-                        load, r.p50Ns, r.p99Ns,
-                        (unsigned long long)r.probesMeasured,
-                        (unsigned long long)r.probesExpected,
-                        (unsigned long long)r.events,
-                        (unsigned long long)r.rateCuts,
-                        (unsigned long long)r.ecnMarks,
-                        r.bulkDeliveredBytes / 1.0e6);
-            std::printf("  digest=%s\n", r.digest.c_str());
-        }
+        Knobs k = base;
+        k.load = kSaturationLoad;
+        RunOut r = runScenario(k, cli.fidelity, false, traceFlag);
+        std::printf("load %.2fx: p50 %8.0f ns  p99 %8.0f ns  "
+                    "probes %llu/%llu  events %llu  cuts %llu  "
+                    "marks %llu  delivered %.3f MB\n",
+                    k.load, r.p50Ns, r.p99Ns,
+                    (unsigned long long)r.probesMeasured,
+                    (unsigned long long)r.probesExpected,
+                    (unsigned long long)r.events,
+                    (unsigned long long)r.rateCuts,
+                    (unsigned long long)r.ecnMarks,
+                    r.bulkDeliveredBytes / 1.0e6);
+        std::printf("  digest=%s\n", r.digest.c_str());
         return 0;
     }
 
@@ -637,11 +638,12 @@ main(int argc, char **argv)
         bool gated = true;
     };
     std::vector<Row> rows;
-    for (double load : loads) {
+    for (const Point &pt : points) {
         Knobs k = base;
-        k.load = load;
+        k.load = pt.load;
         Row row;
-        row.load = load;
+        row.load = pt.load;
+        row.gated = !pt.why;
         row.packet = runScenario(k, FidelityMode::Packet);
         row.hybrid = runScenario(k, FidelityMode::Hybrid);
         row.fluid = runScenario(k, FidelityMode::Fluid);
@@ -658,42 +660,23 @@ main(int argc, char **argv)
                                  ? double(row.packet.events) /
                                        double(row.fluid.events)
                                  : 0.0;
-        std::printf(
-            "load %.2fx: packet p99 %8.0f ns (%llu ev) | hybrid "
-            "p99 %8.0f ns err %5.2f%% (%llu ev, %5.1fx) | fluid "
-            "%5.1fx\n",
-            load, row.packet.p99Ns,
-            (unsigned long long)row.packet.events, row.hybrid.p99Ns,
-            row.p99Err * 100.0,
-            (unsigned long long)row.hybrid.events, row.reduction,
-            row.fluidReduction);
-        rows.push_back(std::move(row));
-    }
-
-    // Ungated reference rows: the documented limits of the fluid
-    // abstraction, reported for honesty but not gated.
-    for (const Ref &ref : references) {
-        Knobs k = base;
-        k.load = ref.load;
-        Row row;
-        row.load = ref.load;
-        row.gated = false;
-        row.packet = runScenario(k, FidelityMode::Packet);
-        row.hybrid = runScenario(k, FidelityMode::Hybrid);
-        row.fluid = runScenario(k, FidelityMode::Fluid);
-        row.p99Err = row.packet.p99Ns > 0.0
-                         ? std::fabs(row.hybrid.p99Ns -
-                                     row.packet.p99Ns) /
-                               row.packet.p99Ns
-                         : 0.0;
-        row.reduction = row.hybrid.events
-                            ? double(row.packet.events) /
-                                  double(row.hybrid.events)
-                            : 0.0;
-        std::printf("load %.2fx: packet p99 %8.0f ns | hybrid p99 "
-                    "%8.0f ns err %5.2f%% (reference only: %s)\n",
-                    ref.load, row.packet.p99Ns, row.hybrid.p99Ns,
-                    row.p99Err * 100.0, ref.why);
+        if (row.gated)
+            std::printf(
+                "load %.2fx: packet p99 %8.0f ns (%llu ev) | hybrid "
+                "p99 %8.0f ns err %5.2f%% (%llu ev, %5.1fx) | fluid "
+                "%5.1fx\n",
+                pt.load, row.packet.p99Ns,
+                (unsigned long long)row.packet.events,
+                row.hybrid.p99Ns, row.p99Err * 100.0,
+                (unsigned long long)row.hybrid.events, row.reduction,
+                row.fluidReduction);
+        else
+            // The documented limits of the fluid abstraction,
+            // reported for honesty but not gated.
+            std::printf("load %.2fx: packet p99 %8.0f ns | hybrid p99 "
+                        "%8.0f ns err %5.2f%% (reference only: %s)\n",
+                        pt.load, row.packet.p99Ns, row.hybrid.p99Ns,
+                        row.p99Err * 100.0, pt.why);
         rows.push_back(std::move(row));
     }
 
@@ -733,7 +716,7 @@ main(int argc, char **argv)
     // byte-identical (the `--fidelity packet` guarantee).
     {
         Knobs k = base;
-        k.load = loads.front();
+        k.load = kSaturationLoad;
         RunOut plain = runScenario(k, FidelityMode::Packet, false);
         RunOut inert = runScenario(k, FidelityMode::Packet, true);
         bool same = plain.digest == inert.digest &&

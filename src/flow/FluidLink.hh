@@ -40,6 +40,8 @@
 namespace netdimm
 {
 
+class FluidSolver;
+
 class FluidLink : public FluidBackground
 {
   public:
@@ -87,33 +89,48 @@ class FluidLink : public FluidBackground
      *  (wire Gbps). */
     void setFluidArrivalGbps(double gbps) { _arrBps = gbps / 8000.0; }
 
+    /** Add one flow's next-interval rate (wire Gbps) to the sum that
+     *  commitFluidArrival() installs. */
+    void addFluidArrivalGbps(double gbps) { _arrSumGbps += gbps; }
+
+    /** Install the summed next-interval arrival rate and restart the
+     *  sum (a link no flow added to gets rate 0). */
+    void
+    commitFluidArrival()
+    {
+        setFluidArrivalGbps(_arrSumGbps);
+        _arrSumGbps = 0.0;
+    }
+
     /**
      * Integrate the backlog exactly over [lastAdvance, now]. The
      * fluid drains at the link capacity minus the measured
      * packet-level rate over the same window (packet frames claim
-     * the transmitter byte-for-byte).
+     * the transmitter byte-for-byte). Also computes the window's
+     * round signals (deliveredShare(), droppedShare(),
+     * roundCongested()) once, for every flow on the link to read.
      */
     void
     advanceTo(Tick now)
     {
+        double startBacklog = _backlog;
         double dt = double(now - _lastT);
-        _winStartBacklog = _backlog;
-        _winArrived = 0.0;
-        _winDelivered = 0.0;
-        _winDropped = 0.0;
-        if (dt <= 0.0) {
-            _lastT = now;
-            _pktWindowBytes = 0;
-            return;
+        Window w;
+        if (dt > 0.0) {
+            double pktBps = double(_pktWindowBytes) / dt;
+            _capEffBps = std::max(0.0, _capBps - pktBps);
+            w = integrate(_arrBps, _capEffBps, dt);
+            _history.emplace_back(now, _backlog);
+            if (_history.size() > kHistoryRounds)
+                _history.pop_front();
         }
-        double pktBps = double(_pktWindowBytes) / dt;
-        _pktWindowBytes = 0;
-        _capEffBps = std::max(0.0, _capBps - pktBps);
-        integrate(_arrBps, _capEffBps, dt);
         _lastT = now;
-        _history.emplace_back(now, _backlog);
-        if (_history.size() > kHistoryRounds)
-            _history.pop_front();
+        _pktWindowBytes = 0;
+
+        double pool = startBacklog + w.arrived;
+        _deliveredShare = pool > 0.0 ? w.delivered / pool : 1.0;
+        _droppedShare = pool > 0.0 ? w.dropped / pool : 0.0;
+        _roundCongested = congestedLagged(now) || _droppedShare > 0.0;
     }
 
     /** Backlog at @p now >= lastAdvance, interpolating the open
@@ -183,26 +200,21 @@ class FluidLink : public FluidBackground
         return false;
     }
 
-    // -- last-window shares (set by advanceTo) ---------------------------
+    // -- round signals of the last window (set by advanceTo) --------
 
     /**
      * Fraction of the window pool (backlog at window start + window
      * arrivals) that was delivered. 1 when the pool was empty.
      */
-    double
-    deliveredShare() const
-    {
-        double pool = _winStartBacklog + _winArrived;
-        return pool > 0.0 ? _winDelivered / pool : 1.0;
-    }
+    double deliveredShare() const { return _deliveredShare; }
 
     /** Fraction of the window pool that was tail-dropped. */
-    double
-    droppedShare() const
-    {
-        double pool = _winStartBacklog + _winArrived;
-        return pool > 0.0 ? _winDropped / pool : 0.0;
-    }
+    double droppedShare() const { return _droppedShare; }
+
+    /** The congestion signal a sender on this link sees at the last
+     *  advanceTo(now): congestedLagged(now), or tail drops in the
+     *  window. */
+    bool roundCongested() const { return _roundCongested; }
 
     // -- cumulative statistics (wire bytes) ------------------------------
 
@@ -233,6 +245,14 @@ class FluidLink : public FluidBackground
     }
 
   private:
+    /** Wire bytes one advanceTo() window moved. */
+    struct Window
+    {
+        double arrived = 0.0;
+        double delivered = 0.0;
+        double dropped = 0.0;
+    };
+
     /**
      * Exact integration of one linear segment: arrivals at @p a,
      * service at @p c (wire bytes/tick) for @p dt ticks. Splits the
@@ -240,43 +260,41 @@ class FluidLink : public FluidBackground
      * cap-crossing (tail drop begins); within each piece the backlog
      * is linear, so the update is closed-form, not stepped.
      */
-    void
+    Window
     integrate(double a, double c, double dt)
     {
-        _winArrived = a * dt;
-        _cumArrived += _winArrived;
+        Window w;
+        w.arrived = a * dt;
+        _cumArrived += w.arrived;
         double net = a - c;
         double cap = capWireBytes();
-        double delivered = 0.0;
-        double dropped = 0.0;
         if (net >= 0.0) {
             // Queue non-decreasing: the transmitter is busy the whole
             // interval whenever there is anything to send.
-            delivered = (a > 0.0 || _backlog > 0.0) ? c * dt : 0.0;
+            w.delivered = (a > 0.0 || _backlog > 0.0) ? c * dt : 0.0;
             double nb = _backlog + net * dt;
             if (cap > 0.0 && nb > cap) {
                 double tc = net > 0.0 ? (cap - _backlog) / net : 0.0;
-                dropped = net * (dt - tc);
+                w.dropped = net * (dt - tc);
                 nb = cap;
             }
             _backlog = nb;
         } else {
             double drainT = -net > 0.0 ? _backlog / -net : 0.0;
             if (drainT >= dt) {
-                delivered = c * dt;
+                w.delivered = c * dt;
                 _backlog += net * dt;
             } else {
                 // Busy until the queue runs dry, then the output
                 // tracks the arrivals.
-                delivered = c * drainT + a * (dt - drainT);
+                w.delivered = c * drainT + a * (dt - drainT);
                 _backlog = 0.0;
             }
         }
-        _winDelivered = delivered;
-        _winDropped = dropped;
-        _cumDelivered += delivered;
-        _cumDropped += dropped;
+        _cumDelivered += w.delivered;
+        _cumDropped += w.dropped;
         _maxBacklog = std::max(_maxBacklog, _backlog);
+        return w;
     }
 
     const std::string _name;
@@ -291,10 +309,11 @@ class FluidLink : public FluidBackground
     Tick _lastT = 0;
     std::uint64_t _pktWindowBytes = 0;
 
-    double _winStartBacklog = 0.0;
-    double _winArrived = 0.0;
-    double _winDelivered = 0.0;
-    double _winDropped = 0.0;
+    double _arrSumGbps = 0.0; ///< next-interval arrivals being summed
+
+    double _deliveredShare = 1.0;
+    double _droppedShare = 0.0;
+    bool _roundCongested = false;
 
     /** Bounds the congestedAt() lookback (rounds, i.e. RTT-scale
      *  intervals); lags beyond it clamp to the oldest entry. */
@@ -306,6 +325,11 @@ class FluidLink : public FluidBackground
     double _cumDelivered = 0.0;
     double _cumDropped = 0.0;
     double _maxBacklog = 0.0;
+
+    /** The solver whose addLink() created this link and whose rounds
+     *  advance it; only its flows may route over the link. */
+    friend class FluidSolver;
+    const FluidSolver *_owner = nullptr;
 };
 
 } // namespace netdimm

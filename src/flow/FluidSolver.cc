@@ -18,6 +18,7 @@ FluidSolver::addLink(std::string name, const EthConfig &cfg,
 {
     _links.push_back(std::make_unique<FluidLink>(
         std::move(name), cfg, ref_frame_bytes));
+    _links.back()->_owner = this;
     return *_links.back();
 }
 
@@ -26,8 +27,17 @@ FluidSolver::addFlow(std::uint64_t id, const TransportConfig &cfg,
                      std::vector<FluidLink *> path,
                      std::uint64_t total_bytes, const DcqcnState *seed)
 {
+    checkFlowSetMutable("addFlow");
     ND_ASSERT(!path.empty());
     ND_ASSERT(_flows.find(id) == _flows.end());
+    for (const FluidLink *l : path) {
+        // Only this solver's rounds advance its links; any other
+        // link would hand the flow stale round signals.
+        if (!l || l->_owner != this)
+            panic("%s: flow %llu routes over a link this solver's "
+                  "addLink() did not create",
+                  name().c_str(), (unsigned long long)id);
+    }
     FluidFlow &f = _flows[id];
     f.id = id;
     f.cfg = cfg;
@@ -38,6 +48,7 @@ FluidSolver::addFlow(std::uint64_t id, const TransportConfig &cfg,
     else
         f.cc.init(cfg);
     f.startTick = curTick();
+    _order.insert(orderPos(id), &f);
     pushArrivalRates();
     return f;
 }
@@ -52,13 +63,34 @@ FluidSolver::findFlow(std::uint64_t id)
 FluidFlow
 FluidSolver::removeFlow(std::uint64_t id)
 {
+    checkFlowSetMutable("removeFlow");
     auto it = _flows.find(id);
     ND_ASSERT(it != _flows.end());
+    _order.erase(orderPos(id));
     FluidFlow out = std::move(it->second);
     _removedDelivered += out.deliveredBytes;
     _flows.erase(it);
     pushArrivalRates();
     return out;
+}
+
+std::vector<FluidFlow *>::iterator
+FluidSolver::orderPos(std::uint64_t id)
+{
+    return std::lower_bound(
+        _order.begin(), _order.end(), id,
+        [](const FluidFlow *f, std::uint64_t key) { return f->id < key; });
+}
+
+void
+FluidSolver::checkFlowSetMutable(const char *what) const
+{
+    // The round sums next-round arrival rates while it walks the
+    // flows, so the flow set must not change under it.
+    if (_inRound)
+        panic("%s: %s called from a flow completion callback during "
+              "a round",
+              name().c_str(), what);
 }
 
 void
@@ -78,8 +110,8 @@ std::uint64_t
 FluidSolver::activeFlows() const
 {
     std::uint64_t n = 0;
-    for (const auto &[id, f] : _flows)
-        n += f.done ? 0 : 1;
+    for (const FluidFlow *f : _order)
+        n += f->done ? 0 : 1;
     return n;
 }
 
@@ -87,30 +119,31 @@ double
 FluidSolver::totalDeliveredBytes() const
 {
     double sum = _removedDelivered;
-    for (const auto &[id, f] : _flows)
-        sum += f.deliveredBytes;
+    for (const FluidFlow *f : _order)
+        sum += f->deliveredBytes;
     return sum;
+}
+
+void
+FluidSolver::offerNextRound(const FluidFlow &f)
+{
+    // A finished (or fully-offered) flow no longer arrives; its
+    // backlog keeps draining inside the link integrals.
+    if (f.done)
+        return;
+    if (f.totalBytes && f.offeredBytes >= double(f.totalBytes))
+        return;
+    for (FluidLink *l : f.path)
+        l->addFluidArrivalGbps(f.cc.rateGbps * l->wireFactor());
 }
 
 void
 FluidSolver::pushArrivalRates()
 {
-    // Aggregate next-interval arrival rate per link, in wire Gbps.
-    // A finished (or fully-offered) flow no longer arrives; its
-    // backlog keeps draining inside the link integrals.
+    for (const FluidFlow *f : _order)
+        offerNextRound(*f);
     for (auto &l : _links)
-        l->setFluidArrivalGbps(0.0);
-    std::map<FluidLink *, double> agg;
-    for (auto &[id, f] : _flows) {
-        if (f.done)
-            continue;
-        if (f.totalBytes && f.offeredBytes >= double(f.totalBytes))
-            continue;
-        for (FluidLink *l : f.path)
-            agg[l] += f.cc.rateGbps * l->wireFactor();
-    }
-    for (auto &[l, gbps] : agg)
-        l->setFluidArrivalGbps(gbps);
+        l->commitFluidArrival();
 }
 
 void
@@ -121,12 +154,16 @@ FluidSolver::round()
     _lastRound = now;
     ++_rounds;
 
-    // 1. Exact backlog integration over the closed interval.
+    // 1. Exact backlog integration over the closed interval; each
+    //    link computes its round signals once.
     for (auto &l : _links)
         l->advanceTo(now);
 
-    // 2.+3. Per-flow ledger advance and rate control.
-    for (auto &[id, f] : _flows) {
+    // 2.-4. Per-flow ledger advance and rate control, summing the
+    //       next-round arrival rates in flow-id order on the way.
+    _inRound = true;
+    for (FluidFlow *fp : _order) {
+        FluidFlow &f = *fp;
         if (f.done)
             continue;
 
@@ -145,15 +182,14 @@ FluidSolver::round()
         double fDel = 1.0;
         double fDrop = 0.0;
         bool congested = false;
-        for (FluidLink *l : f.path) {
+        for (const FluidLink *l : f.path) {
             fDel = std::min(fDel, l->deliveredShare());
             fDrop = std::max(fDrop, l->droppedShare());
             // The ECN signal is sampled with the same feedback lag a
             // packet-level sender experiences: a mark reflects the
             // enqueue-time depth and only reaches the sender after
             // the marked frame has drained the backlog ahead of it.
-            congested = congested || l->congestedLagged(now) ||
-                        l->droppedShare() > 0.0;
+            congested = congested || l->roundCongested();
         }
         fDrop = std::min(fDrop, 1.0 - fDel);
 
@@ -207,10 +243,11 @@ FluidSolver::round()
             }
         }
         f.cc.timerRound(f.cfg);
+        offerNextRound(f);
     }
-
-    // 4. Push the new rates down for the next interval.
-    pushArrivalRates();
+    _inRound = false;
+    for (auto &l : _links)
+        l->commitFluidArrival();
 
     if (now < _horizon) {
         Tick next = std::min(now + _period, _horizon);

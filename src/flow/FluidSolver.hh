@@ -9,7 +9,9 @@
  * same-tick packet-level consumer samples them. Each round:
  *
  *  1. every FluidLink integrates its backlog exactly over the closed
- *     interval (piecewise-linear with zero/cap kinks);
+ *     interval (piecewise-linear with zero/cap kinks) and computes
+ *     its round signals once: delivered share, dropped share and the
+ *     lagged congestion flag;
  *  2. every flow advances its offered/delivered/backlogged byte ledger
  *     from its bottleneck link's window shares (conserving bytes:
  *     the shares partition each link's pool);
@@ -19,7 +21,13 @@
  *     packet-level TransportFlow — gated by the flow's own
  *     mark-sampling cadence (a flow only sees marks as often as its
  *     own frames arrive); then every flow runs one timerRound;
- *  4. next-round arrival rates are pushed down to the links.
+ *  4. each flow adds its next-round rate to its path links' arrival
+ *     sums, and the links install the sums for the next interval.
+ *
+ * Steps 2–4 are one pass over the flows in id order, so a round costs
+ * O(links × history + flows × path length). A FluidFlow::onComplete
+ * callback runs inside that pass and must not add or remove flows
+ * (it panics if it does).
  *
  * Tail drops are modeled as goodput loss with go-back-N recovery:
  * the dropped share of a flow's pool returns to its unsent ledger,
@@ -72,6 +80,8 @@ struct FluidFlow
      *  solver carries round-sampling overshoot forward so the
      *  average cut cadence equals the mark-sampling gap exactly. */
     Tick nextCutEligible = 0;
+    /** Runs inside the solver round; must not call addFlow() or
+     *  removeFlow(). */
     std::function<void(FluidFlow &)> onComplete;
 
     double rateGbps() const { return cc.rateGbps; }
@@ -101,7 +111,8 @@ class FluidSolver : public SimObject
     /**
      * Register a flow. @p seed imports rate-controller state from a
      * packet-level flow being demoted (nullptr starts fresh at the
-     * demand ceiling).
+     * demand ceiling). Every @p path link must come from this
+     * solver's addLink().
      */
     FluidFlow &addFlow(std::uint64_t id, const TransportConfig &cfg,
                        std::vector<FluidLink *> path,
@@ -141,7 +152,15 @@ class FluidSolver : public SimObject
 
   private:
     void round();
+    /** Add @p f's next-round rate to its path links' arrival sums,
+     *  unless it no longer offers bytes. */
+    void offerNextRound(const FluidFlow &f);
+    /** Recompute every link's arrival rate from scratch. */
     void pushArrivalRates();
+    /** Position of flow @p id in _order (lower bound). */
+    std::vector<FluidFlow *>::iterator orderPos(std::uint64_t id);
+    /** Panic if @p what runs from inside a round. */
+    void checkFlowSetMutable(const char *what) const;
 
     Tick _period;
     Tick _horizon = 0;
@@ -151,9 +170,16 @@ class FluidSolver : public SimObject
     std::uint64_t _completed = 0;
     std::uint64_t _cuts = 0;
     double _removedDelivered = 0.0;
+    /** True while round() walks the flows. */
+    bool _inRound = false;
 
     std::vector<std::unique_ptr<FluidLink>> _links;
+    /** Owns the flows; node-based so addFlow()'s reference stays
+     *  valid. */
     std::map<std::uint64_t, FluidFlow> _flows;
+    /** The same flows, sorted by id: the order rounds walk and sum
+     *  arrival rates in. */
+    std::vector<FluidFlow *> _order;
 };
 
 } // namespace netdimm

@@ -203,6 +203,138 @@ TEST(FluidSolver, EcnFeedbackRegulatesASaturatedLink)
     EXPECT_LT(l.backlogWireBytes(), 20.0 * l.ecnWireBytes());
 }
 
+TEST(FluidSolver, TwoHopPathTakesTheTighterShare)
+{
+    // A fast 40 Gbps hop F that never queues and a slow 10 Gbps hop S
+    // with a shallow tail-drop queue. One flow uses F alone, two
+    // cross both hops in either order, so S congests the first hop
+    // of one path and the second hop of the other.
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidLink &fast = solver.addLink("F", testEth(64, 16), 1460);
+    EthConfig slowEth = testEth(32, 8);
+    slowEth.gbps = 10.0;
+    FluidLink &slow = solver.addLink("S", slowEth, 1460);
+
+    TransportConfig cfg;
+    cfg.lineRateGbps = 10.0; // F carries at most 30 Gbps of payload
+    FluidFlow &oneHop = solver.addFlow(1, cfg, {&fast}, 4000000);
+    FluidFlow &slowLast = solver.addFlow(2, cfg, {&fast, &slow}, 2000000);
+    FluidFlow &slowFirst = solver.addFlow(3, cfg, {&slow, &fast}, 2000000);
+    std::vector<FluidFlow *> flows = {&oneHop, &slowLast, &slowFirst};
+
+    // The ledger each flow had after the previous round.
+    struct Snap
+    {
+        double rate, offered, delivered, backlog;
+    };
+    std::vector<Snap> prev;
+    for (const FluidFlow *f : flows)
+        prev.push_back({f->rateGbps(), f->offeredBytes,
+                        f->deliveredBytes, f->backlogBytes});
+
+    const Tick period = solver.period();
+    const Tick horizon = 100 * period;
+    int tighterRounds = 0, dropRounds = 0;
+    // Observe right after every round (Default runs after Fluid).
+    std::function<void()> observe = [&] {
+        Tick now = eq.curTick();
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+            FluidFlow &f = *flows[i];
+            Snap &p = prev[i];
+            double total = double(f.totalBytes);
+            EXPECT_DOUBLE_EQ(f.deliveredBytes + f.backlogBytes +
+                                 f.unsentBytes(),
+                             total)
+                << "flow " << f.id << " at " << now;
+            if (f.done) {
+                EXPECT_EQ(f.deliveredBytes, total);
+                continue;
+            }
+            // Replay the round from the path's link shares.
+            double arr = std::min(p.rate / 8000.0 * double(period),
+                                  std::max(0.0, total - p.offered));
+            double fDel = 1.0, fDrop = 0.0;
+            for (const FluidLink *l : f.path) {
+                fDel = std::min(fDel, l->deliveredShare());
+                fDrop = std::max(fDrop, l->droppedShare());
+            }
+            fDrop = std::min(fDrop, 1.0 - fDel);
+            double pool = p.backlog + arr;
+            EXPECT_DOUBLE_EQ(f.deliveredBytes, p.delivered + pool * fDel);
+            EXPECT_DOUBLE_EQ(f.offeredBytes,
+                             p.offered + arr - pool * fDrop);
+            EXPECT_DOUBLE_EQ(f.backlogBytes,
+                             pool * (1.0 - fDel - fDrop));
+            if (f.path.size() == 2) {
+                // The slow hop governs, wherever it sits.
+                double slowDel = std::min(1.0, slow.deliveredShare());
+                EXPECT_EQ(fDel, slowDel);
+                EXPECT_EQ(fDrop,
+                          std::min(slow.droppedShare(), 1.0 - slowDel));
+                tighterRounds += fDel < fast.deliveredShare();
+                dropRounds += fDrop > 0.0;
+            }
+            p = {f.rateGbps(), f.offeredBytes, f.deliveredBytes,
+                 f.backlogBytes};
+        }
+        if (now + period <= horizon)
+            eq.schedule(now + period, [&] { observe(); });
+    };
+    eq.schedule(period, [&] { observe(); });
+    solver.start(horizon);
+    eq.run();
+
+    EXPECT_GT(tighterRounds, 0);
+    EXPECT_GT(dropRounds, 0);
+    EXPECT_GT(slow.droppedWireBytes(), 0.0);
+    // F never queued or dropped, so only S can have cut the two-hop
+    // flows, one through its first hop and one through its second.
+    EXPECT_EQ(fast.maxBacklogWireBytes(), 0.0);
+    EXPECT_EQ(fast.droppedWireBytes(), 0.0);
+    EXPECT_EQ(oneHop.cc.lastCutTick, 0u);
+    EXPECT_GT(slowLast.cc.lastCutTick, 0u);
+    EXPECT_GT(slowFirst.cc.lastCutTick, 0u);
+    EXPECT_TRUE(oneHop.done);
+}
+
+TEST(FluidSolverDeathTest, AddFlowRejectsALinkOfAnotherSolver)
+{
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidSolver other(eq, "other", 0);
+    FluidLink &own = solver.addLink("own", testEth(0, 0), 1460);
+    FluidLink &foreign = other.addLink("foreign", testEth(0, 0), 1460);
+    FluidLink loose("loose", testEth(0, 0), 1460);
+    TransportConfig cfg;
+    EXPECT_DEATH(solver.addFlow(1, cfg, {&own, &foreign}, 0),
+                 "did not create");
+    EXPECT_DEATH(solver.addFlow(2, cfg, {&loose}, 0), "did not create");
+}
+
+TEST(FluidSolverDeathTest, CompletionCallbackMustNotChangeTheFlowSet)
+{
+    auto runWith = [](bool add) {
+        EventQueue eq;
+        FluidSolver solver(eq, "fluid", 0);
+        FluidLink &l = solver.addLink("l", testEth(0, 0), 1460);
+        TransportConfig cfg;
+        solver.addFlow(2, cfg, {&l}, 0);
+        FluidFlow &f = solver.addFlow(1, cfg, {&l}, 1000);
+        f.onComplete = [&](FluidFlow &) {
+            if (add)
+                solver.addFlow(3, cfg, {&l}, 0);
+            else
+                solver.removeFlow(2);
+        };
+        solver.start(usToTicks(1000));
+        eq.run();
+    };
+    EXPECT_DEATH(runWith(true), "addFlow called from a flow completion");
+    EXPECT_DEATH(runWith(false),
+                 "removeFlow called from a flow completion");
+}
+
 // -- Handoff conservation -----------------------------------------------
 
 TEST(FidelityManager, PromoteConservesTheByteLedgerExactly)
