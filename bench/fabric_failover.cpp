@@ -77,12 +77,12 @@ struct Result
 
 /** health() vs ground truth: count up() links by hand. */
 bool
-checkBisection(LeafSpineTopology &topo, const EthConfig &eth,
-               std::uint32_t expect_live)
+checkBisection(PodFabricShard &topo, std::uint32_t expect_live)
 {
+    const PodFabricSpec &spec = topo.spec();
     std::uint32_t live = 0, total = 0;
-    for (std::uint32_t l = 0; l < topo.numLeaves(); ++l) {
-        for (std::uint32_t s = 0; s < topo.numSpines(); ++s) {
+    for (std::uint32_t l = 0; l < spec.totalLeaves(); ++l) {
+        for (std::uint32_t s = 0; s < spec.spines; ++s) {
             ++total;
             if (topo.uplink(l, s).up())
                 ++live;
@@ -91,7 +91,7 @@ checkBisection(LeafSpineTopology &topo, const EthConfig &eth,
     FabricHealth h = topo.health();
     return live == expect_live && h.liveUplinks == live &&
            h.totalUplinks == total &&
-           h.bisectionGbps == double(live) * eth.gbps;
+           h.bisectionGbps == double(live) * spec.eth.gbps;
 }
 
 Result
@@ -104,9 +104,16 @@ runCell(const Cell &c, bool with_registry, double windowUs)
     EventQueue eq;
     Node tx(eq, "tx", sys, 0);
     Node rx(eq, "rx", sys, 1);
-    LeafSpineTopology topo(eq, "fab", 2, c.spines, sys.eth);
-    tx.connectTo(topo.attach(0, 0, tx.endpoint()));
-    rx.connectTo(topo.attach(1, 1, rx.endpoint()));
+    // Two racks, one node each: node n sits on leaf n.
+    PodFabricShard topo(eq, "fab",
+                        PodFabricSpec{.pods = 1,
+                                      .leavesPerPod = 2,
+                                      .spines = c.spines,
+                                      .nodesPerLeaf = 1,
+                                      .eth = sys.eth});
+    const PodFabricSpec &spec = topo.spec();
+    tx.connectTo(topo.attach(0, tx.endpoint()));
+    rx.connectTo(topo.attach(1, rx.endpoint()));
 
     Tick window = usToTicks(windowUs);
 
@@ -125,8 +132,8 @@ runCell(const Cell &c, bool with_registry, double windowUs)
         Tick dur = usToTicks(c.flapDurUs);
         Tick slot = window / c.flapsPerLink;
         ND_ASSERT(dur + 1 < slot);
-        for (std::uint32_t l = 0; l < topo.numLeaves(); ++l) {
-            for (std::uint32_t s = 0; s < topo.numSpines(); ++s) {
+        for (std::uint32_t l = 0; l < spec.totalLeaves(); ++l) {
+            for (std::uint32_t s = 0; s < spec.spines; ++s) {
                 FaultDomain &d =
                     reg->domain(topo.uplink(l, s).name());
                 for (std::uint32_t f = 0; f < c.flapsPerLink; ++f) {
@@ -164,8 +171,8 @@ runCell(const Cell &c, bool with_registry, double windowUs)
     // measurement window, while the degraded cells still hold their
     // spines down.
     std::uint32_t expect_live =
-        topo.numLeaves() * (topo.numSpines() - c.spinesLost);
-    r.bisectionOk = checkBisection(topo, sys.eth, expect_live);
+        spec.totalLeaves() * (spec.spines - c.spinesLost);
+    r.bisectionOk = checkBisection(topo, expect_live);
 
     // Revive everything, then drain: the ledger can only close once
     // the permanently-failed spines have booked their recoveries.
@@ -180,8 +187,8 @@ runCell(const Cell &c, bool with_registry, double windowUs)
     r.timeouts = flow.timeouts();
     r.dropsLinkDown = topo.dropsLinkDown();
     r.dropsNoPath = topo.dropsNoPath();
-    for (std::uint32_t l = 0; l < topo.numLeaves(); ++l)
-        for (std::uint32_t s = 0; s < topo.numSpines(); ++s)
+    for (std::uint32_t l = 0; l < spec.totalLeaves(); ++l)
+        for (std::uint32_t s = 0; s < spec.spines; ++s)
             r.downEvents += topo.uplink(l, s).downEvents();
     if (reg) {
         r.injected = reg->injected();

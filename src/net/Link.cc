@@ -35,8 +35,16 @@ EthLink::frameTicks(std::uint32_t bytes) const
 }
 
 void
+EthLink::requireFullLink(const char *what) const
+{
+    if (_remoteSink)
+        panic("%s: %s on a cross-shard half-link", name().c_str(), what);
+}
+
+void
 EthLink::setLinkState(bool up)
 {
+    requireFullLink("setLinkState");
     if (up == _up)
         return;
     _up = up;
@@ -61,6 +69,7 @@ EthLink::setLinkState(bool up)
 void
 EthLink::scheduleFlap(Tick down_at, Tick duration)
 {
+    requireFullLink("scheduleFlap");
     ND_ASSERT(down_at >= curTick() && duration > 0);
     // Maintenance priority: a flap scheduled for tick T applies
     // before same-tick traffic, so "down at T" is unambiguous.
@@ -70,6 +79,13 @@ EthLink::scheduleFlap(Tick down_at, Tick duration)
     eventq().schedule(
         down_at + duration, [this] { setLinkState(true); },
         EventPriority::Maintenance);
+}
+
+void
+EthLink::setFaultDomain(FaultDomain *domain)
+{
+    requireFullLink("setFaultDomain");
+    _domain = domain;
 }
 
 void
@@ -132,7 +148,7 @@ EthLink::send(NetEndpoint *from, const PacketPtr &pkt)
     if (_remoteSink) {
         // Cross-shard half-link: the frame leaves this shard by
         // value, already stamped with its arrival tick. No epoch
-        // check on the far side — cross-shard links do not flap.
+        // check on the far side — a half-link never changes state.
         _remoteSink->push(curTick(), arrival, *pkt);
         return;
     }

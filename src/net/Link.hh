@@ -137,10 +137,12 @@ class EthLink : public SimObject
      * transmits into @p sink; the far shard owns the opposite
      * direction as its own half-link (full duplex decomposes cleanly
      * because the two directions share no transmitter state). Only
-     * the A->B direction exists on a half-link, and link flaps are
-     * unsupported across shards (a flap would have to replicate state
-     * on both halves); frames still serialize, accrue Wire latency
-     * and pass the fault hook exactly like local sends.
+     * the A->B direction exists on a half-link, and its state is
+     * fixed up: a transition would have to reach the far shard and
+     * the frames already in the channel, so setLinkState,
+     * scheduleFlap and setFaultDomain panic. Frames still serialize,
+     * accrue Wire latency and pass the fault hook exactly like local
+     * sends.
      */
     void connectRemote(NetEndpoint *local, CrossShardSink *sink);
 
@@ -177,21 +179,23 @@ class EthLink : public SimObject
      * notifies every registered listener synchronously. A down edge
      * dooms the frames currently in flight: they are counted in
      * framesDroppedLinkDown() when their arrival event fires.
+     * Panics on a half-link.
      */
     void setLinkState(bool up);
 
     /**
      * Deterministic flap: go down at absolute tick @p down_at and
      * recover @p duration ticks later. May be called repeatedly to
-     * build a schedule; consumes no randomness.
+     * build a schedule; consumes no randomness. Panics on a half-link.
      */
     void scheduleFlap(Tick down_at, Tick duration);
 
     /**
      * Book up/down transitions in @p domain's recovery ledger: each
      * down edge counts injected, each recovery recovered. Not owned.
+     * Panics on a half-link.
      */
-    void setFaultDomain(FaultDomain *domain) { _domain = domain; }
+    void setFaultDomain(FaultDomain *domain);
 
     /** Register @p l for up/down transition callbacks. */
     void addStateListener(StateListener l)
@@ -247,6 +251,9 @@ class EthLink : public SimObject
     stats::Scalar _corruptFault;
     stats::Scalar _dropsDown;
     stats::Scalar _downEvents;
+
+    /** Panics if this is a cross-shard half-link. */
+    void requireFullLink(const char *what) const;
 };
 
 } // namespace netdimm

@@ -1,25 +1,28 @@
 /**
  * @file
- * Switched topology builder: a two-tier leaf-spine (folded clos)
- * fabric made of real Switch and EthLink instances, the structure the
- * paper's dist-gem5 switch model simulates (Sec. 5.1).
+ * Switched leaf-spine (folded clos) fabric made of real Switch and
+ * EthLink instances, the structure the paper's dist-gem5 switch model
+ * simulates (Sec. 5.1).
  *
  * Nodes attach to leaves (top-of-rack switches); every leaf connects
  * to every spine. Rack-local frames cross one switch; others cross
  * leaf -> spine -> leaf (three store-and-forward hops). Inter-rack
- * routes are full ECMP groups over every spine: per-packet spine
- * choice is a deterministic (src, dst, flow) hash over the group's
- * live members (net/Routing.hh), so one flow stays on one path while
+ * routes are ECMP groups over the spine tier: per-packet spine choice
+ * is a deterministic (src, dst, flow) hash over the group's live
+ * members (net/Routing.hh), so one flow stays on one path while
  * distinct flows spread across spines.
  *
- * The topology is failure-aware: individual uplinks or whole spine
- * switches can fail and recover (immediately or on a deterministic
- * flap schedule), switches exclude dead members from their ECMP
- * groups at the link-down notification, the topology withdraws a
- * spine from the remote leaves' groups when its leg to the
- * destination leaf dies (so nothing hashes into a blackhole), and
- * health() reports live/total uplinks, remaining bisection capacity
- * and per-group degradation.
+ * PodFabricShard is the one builder. Built on a single EventQueue (or
+ * as the only shard of a ParallelSim) the fabric is failure-aware:
+ * individual uplinks or whole spine switches can fail and recover
+ * (immediately or on a deterministic flap schedule), switches exclude
+ * dead members from their ECMP groups at the link-down notification,
+ * the fabric withdraws a spine from the remote leaves' groups when its
+ * leg to the destination leaf dies (so nothing hashes into a
+ * blackhole), and health() reports live/total uplinks, remaining
+ * bisection capacity and per-group degradation. Split across several
+ * shards (DESIGN.md §16) the fabric is static and the failure and
+ * health API panics.
  */
 
 #ifndef NETDIMM_NET_TOPOLOGY_HH
@@ -54,128 +57,12 @@ struct FabricHealth
     bool fullyConnected() const { return degradedGroups == 0; }
 };
 
-class LeafSpineTopology : public SimObject
-{
-  public:
-    /**
-     * @param leaves number of ToR switches.
-     * @param spines number of spine switches.
-     * @param cfg link/switch parameters (rate, latencies).
-     */
-    LeafSpineTopology(EventQueue &eq, std::string name,
-                      std::uint32_t leaves, std::uint32_t spines,
-                      const EthConfig &cfg);
-
-    /**
-     * Attach endpoint @p ep as @p node_id on rack @p leaf.
-     * @return the access link; wire the node's TX at it.
-     */
-    EthLink &attach(std::uint32_t node_id, std::uint32_t leaf,
-                    NetEndpoint *ep);
-
-    Switch &leaf(std::uint32_t i) { return *_leaves.at(i); }
-    Switch &spine(std::uint32_t i) { return *_spines.at(i); }
-    /** The leaf->spine uplink between @p l and @p s. */
-    EthLink &uplink(std::uint32_t l, std::uint32_t s)
-    {
-        return *_up.at(l).at(s);
-    }
-    std::uint32_t numLeaves() const
-    {
-        return std::uint32_t(_leaves.size());
-    }
-    std::uint32_t numSpines() const
-    {
-        return std::uint32_t(_spines.size());
-    }
-
-    // -- failure injection ----------------------------------------------
-    /** Take the leaf @p l <-> spine @p s uplink down / up now. */
-    void failLink(std::uint32_t l, std::uint32_t s)
-    {
-        uplink(l, s).setLinkState(false);
-    }
-    void recoverLink(std::uint32_t l, std::uint32_t s)
-    {
-        uplink(l, s).setLinkState(true);
-    }
-
-    /**
-     * Fail / recover a whole spine switch as the composite of its
-     * uplinks: every leaf loses (regains) that ECMP member at once.
-     */
-    void failSpine(std::uint32_t s);
-    void recoverSpine(std::uint32_t s);
-
-    /** Deterministic flap of one uplink: down at @p down_at for
-     *  @p duration (absolute ticks). */
-    void scheduleLinkFlap(std::uint32_t l, std::uint32_t s,
-                          Tick down_at, Tick duration)
-    {
-        uplink(l, s).scheduleFlap(down_at, duration);
-    }
-
-    /**
-     * Book every uplink's up/down transitions in @p reg: each link
-     * gets the domain named after it, so flap ledgers replay from the
-     * registry's master seed and close when every down edge recovered.
-     */
-    void attachFaultDomains(FaultRegistry &reg);
-
-    // -- health ---------------------------------------------------------
-    /** Live/total uplinks, remaining bisection capacity, degraded
-     *  ECMP groups across all switches. */
-    FabricHealth health() const;
-
-    /** True while any leaf has an ECMP group with no usable path. */
-    bool degraded() const;
-
-    /** Total frames forwarded across every switch. */
-    std::uint64_t fabricFrames() const;
-    /** Frames dropped fabric-wide because every candidate path was
-     *  down (sum of the switches' dropsNoPath). */
-    std::uint64_t dropsNoPath() const;
-    /** Frames lost to link-down fabric-wide: in flight on a dying
-     *  uplink, flushed from an egress queue, or sent into a dead
-     *  link. */
-    std::uint64_t dropsLinkDown() const;
-
-  private:
-    const EthConfig _cfg;
-    std::vector<std::unique_ptr<Switch>> _leaves;
-    std::vector<std::unique_ptr<Switch>> _spines;
-    /** _up[l][s]: link between leaf l and spine s. */
-    std::vector<std::vector<std::unique_ptr<EthLink>>> _up;
-    std::vector<std::unique_ptr<EthLink>> _access;
-
-    struct Attachment
-    {
-        std::uint32_t nodeId;
-        std::uint32_t leaf;
-    };
-    std::vector<Attachment> _attachments;
-
-    /** Re-announce routes after a new attachment. */
-    void installRoutes(std::uint32_t node_id, std::uint32_t leaf,
-                       EthLink *access);
-
-    /** Uplinks from @p from_leaf usable toward @p to_leaf: one per
-     *  spine whose far leg (to the destination leaf) is up. */
-    std::vector<EthLink *> crossRackMembers(std::uint32_t from_leaf,
-                                            std::uint32_t to_leaf) const;
-
-    /** Withdraw / re-advertise cross-rack ECMP groups after an uplink
-     *  transition, so no leaf keeps hashing flows onto a spine that
-     *  lost its path to the destination. */
-    void reinstallEcmpRoutes();
-};
-
 /**
- * Shape of a multi-pod leaf-spine fabric for the pod-sharded PDES
- * driver. Node ids are procedural — node n lives on global leaf
- * n / nodesPerLeaf, and global leaf L belongs to pod
- * L / leavesPerPod — so every shard derives the full routing picture
- * from the spec alone, without exchanging attachment state.
+ * Shape of a multi-pod leaf-spine fabric. Node ids are procedural —
+ * node n lives on global leaf n / nodesPerLeaf, and global leaf L
+ * belongs to pod L / leavesPerPod — so every shard derives the full
+ * routing picture from the spec alone, without exchanging attachment
+ * state.
  */
 struct PodFabricSpec
 {
@@ -229,14 +116,13 @@ struct PodFabricSpec
  * leaf<->spine pair split across shards becomes two half-links, one
  * per direction, each feeding a PacketChannel the far shard pumps.
  * Because the two directions of a full-duplex link share no state,
- * the decomposition is exact — a sharded run reproduces the
- * unsharded topology's timing tick for tick (identical ECMP member
- * order, identical serialization pipelines), which is what the
+ * the decomposition is exact — a sharded run reproduces the one-shard
+ * fabric's timing tick for tick (identical ECMP member order,
+ * identical serialization pipelines), which is what the
  * byte-identity tests assert.
  *
- * The sharded fabric is static: no link flaps or failure injection
- * (cross-shard state transitions would need replication); groups are
- * always fully live.
+ * At one shard every uplink is a full-duplex EthLink and the
+ * failure/health API below works; a sharded fabric is static.
  */
 class PodFabricShard : public SimObject
 {
@@ -247,6 +133,10 @@ class PodFabricShard : public SimObject
      * for every node in the spec are installed up front.
      */
     PodFabricShard(ShardHost &host, std::string name,
+                   const PodFabricSpec &spec);
+
+    /** The whole fabric on one EventQueue: shard 0 of 1. */
+    PodFabricShard(EventQueue &eq, std::string name,
                    const PodFabricSpec &spec);
 
     const PodFabricSpec &spec() const { return _spec; }
@@ -274,8 +164,58 @@ class PodFabricShard : public SimObject
     std::uint64_t fabricFrames() const;
     /** Frames this shard pushed into cross-shard channels. */
     std::uint64_t framesExported() const;
-    /** Frames this shard pumped out of cross-shard channels. */
-    std::uint64_t framesImported() const;
+
+    // -- failure injection (one-shard fabric only) -----------------------
+    /** The leaf @p l <-> spine @p s uplink. */
+    EthLink &uplink(std::uint32_t l, std::uint32_t s);
+
+    /** Take the leaf @p l <-> spine @p s uplink down / up now. */
+    void failLink(std::uint32_t l, std::uint32_t s)
+    {
+        uplink(l, s).setLinkState(false);
+    }
+    void recoverLink(std::uint32_t l, std::uint32_t s)
+    {
+        uplink(l, s).setLinkState(true);
+    }
+
+    /**
+     * Fail / recover a whole spine switch as the composite of its
+     * uplinks: every leaf loses (regains) that ECMP member at once.
+     */
+    void failSpine(std::uint32_t s);
+    void recoverSpine(std::uint32_t s);
+
+    /** Deterministic flap of one uplink: down at @p down_at for
+     *  @p duration (absolute ticks). */
+    void scheduleLinkFlap(std::uint32_t l, std::uint32_t s,
+                          Tick down_at, Tick duration)
+    {
+        uplink(l, s).scheduleFlap(down_at, duration);
+    }
+
+    /**
+     * Book every uplink's up/down transitions in @p reg: each link
+     * gets the domain named after it, so flap ledgers replay from the
+     * registry's master seed and close when every down edge recovered.
+     */
+    void attachFaultDomains(FaultRegistry &reg);
+
+    // -- health (one-shard fabric only) ----------------------------------
+    /** Live/total uplinks, remaining bisection capacity, degraded
+     *  leaf ECMP groups. */
+    FabricHealth health() const;
+
+    /** True while any leaf has an ECMP group with no usable path. */
+    bool degraded() const;
+
+    /** Frames dropped fabric-wide because every candidate path was
+     *  down (sum of the switches' dropsNoPath). */
+    std::uint64_t dropsNoPath() const;
+    /** Frames lost to link-down fabric-wide: in flight on a dying
+     *  uplink, flushed from an egress queue, or sent into a dead
+     *  link. */
+    std::uint64_t dropsLinkDown() const;
 
   private:
     const PodFabricSpec _spec;
@@ -293,9 +233,14 @@ class PodFabricShard : public SimObject
      *  the transmitter lives elsewhere. */
     std::vector<EthLink *> _up;
     std::vector<EthLink *> _down;
-    /** Channels this shard produces into / consumes from. */
+    /** Channels this shard produces into / consumes from (the
+     *  consumed ones are kept alive for the host's ingress list). */
     std::vector<std::shared_ptr<PacketChannel>> _exports;
     std::vector<std::shared_ptr<PacketChannel>> _imports;
+
+    /** Both public constructors; @p host is null on one EventQueue. */
+    PodFabricShard(EventQueue &eq, ShardHost *host, std::string name,
+                   const PodFabricSpec &spec);
 
     /** Channel key of the (L,s) uplink (dir 0) / downlink (dir 1). */
     std::uint64_t
@@ -304,9 +249,15 @@ class PodFabricShard : public SimObject
         return (std::uint64_t(l) * _spec.spines + s) * 2 + dir;
     }
 
-    void buildSwitches(ShardHost &host);
-    void buildLinks(ShardHost &host);
+    void buildSwitches();
+    void buildLinks(ShardHost *host);
+    /**
+     * (Re)install every route for every node in the spec. Re-run on
+     * each uplink transition, so it is also the route withdrawal.
+     */
     void installRoutes();
+    /** Panics unless the whole fabric lives on this shard. */
+    void requireOneShard(const char *what) const;
 };
 
 } // namespace netdimm

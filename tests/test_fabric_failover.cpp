@@ -41,6 +41,18 @@ struct SinkEndpoint : NetEndpoint
     }
 };
 
+/** One pod of two racks under two spines, @p per_leaf nodes per rack:
+ *  node n sits on leaf n / per_leaf. */
+PodFabricSpec
+twoRacks(std::uint32_t per_leaf, const EthConfig &eth = EthConfig{})
+{
+    return PodFabricSpec{.pods = 1,
+                         .leavesPerPod = 2,
+                         .spines = 2,
+                         .nodesPerLeaf = per_leaf,
+                         .eth = eth};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -139,10 +151,10 @@ TEST(FabricFailover, DeadMemberIsExcludedAtNotificationTime)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     // Baseline: 32 flows spread over both spines.
     for (int f = 0; f < 32; ++f) {
@@ -184,15 +196,46 @@ TEST(FabricFailover, DeadMemberIsExcludedAtNotificationTime)
     EXPECT_EQ(topo.spine(0).framesForwarded(), 2 * spine0_before);
 }
 
+TEST(FabricFailover, FarLegDeathWithdrawsTheSpineFromRemoteLeaves)
+{
+    EventQueue eq;
+    EthConfig cfg;
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
+    SinkEndpoint a(eq), b(eq);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
+
+    // Spine 0 loses its leg to leaf 1. Leaf 0's own uplink to spine 0
+    // is still up, but the route install withdraws spine 0 from leaf
+    // 0's group toward node 1, so no flow hashes into the dead end.
+    topo.failLink(1, 0);
+    EXPECT_EQ(topo.leaf(0).liveMembers(1), 1u);
+    EXPECT_EQ(topo.leaf(1).liveMembers(0), 1u);
+    for (int f = 0; f < 32; ++f) {
+        PacketPtr pkt = makePacket(200, 0, 1);
+        pkt->flowId = std::uint64_t(f);
+        la.send(&a, pkt);
+    }
+    eq.run();
+    EXPECT_EQ(b.got.size(), 32u);
+    EXPECT_EQ(topo.spine(0).framesForwarded(), 0u);
+    EXPECT_EQ(topo.dropsNoPath(), 0u);
+
+    // Recovery re-advertises the spine.
+    topo.recoverLink(1, 0);
+    EXPECT_EQ(topo.leaf(0).liveMembers(1), 2u);
+    EXPECT_EQ(topo.leaf(1).liveMembers(0), 2u);
+}
+
 TEST(FabricFailover, AllMembersDownCountsNoPathAndDegrades)
 {
     QuietScope q;
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     topo.failLink(0, 0);
     topo.failLink(0, 1);
@@ -216,10 +259,10 @@ TEST(FabricFailover, SelectionAgreesWithTheExportedFlowHash)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     // With both members live, packet (src 0, dst 1, flow f) must use
     // the spine the exported hash names -- the invariant that keeps
@@ -243,10 +286,10 @@ TEST(FabricFailover, QueuedFramesFlushWhenTheirLinkDies)
     EventQueue eq;
     EthConfig cfg;
     cfg.gbps = 1.0; // slow wire so a burst queues at the uplink port
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     // One flow pins the whole burst to one spine; compute which from
     // the exported hash, then kill that uplink mid-burst.
@@ -271,20 +314,24 @@ TEST(FabricFailover, SharedMemberDeathReachesEveryDestinationBehindIt)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    // Node 0 on leaf 0, the sixteen nodes 16..31 on leaf 1.
+    PodFabricShard topo(eq, "fab", twoRacks(16, cfg));
     std::vector<std::unique_ptr<SinkEndpoint>> sinks;
-    for (std::uint32_t n = 0; n < 17; ++n) {
+    auto attach = [&](std::uint32_t n) {
         sinks.push_back(std::make_unique<SinkEndpoint>(eq));
-        topo.attach(n, n == 0 ? 0 : 1, sinks.back().get());
-    }
+        topo.attach(n, sinks.back().get());
+    };
+    attach(0);
+    for (std::uint32_t n = 16; n < 32; ++n)
+        attach(n);
 
-    // Leaf 0 reaches nodes 1..16 through the same two uplinks: one
+    // Leaf 0 reaches nodes 16..31 through the same two uplinks: one
     // member dying must show on every one of those routes at once.
     topo.failLink(0, 0);
-    for (std::uint32_t n = 1; n <= 16; ++n)
+    for (std::uint32_t n = 16; n < 32; ++n)
         EXPECT_EQ(topo.leaf(0).liveMembers(n), 1u) << "node " << n;
     topo.recoverLink(0, 0);
-    for (std::uint32_t n = 1; n <= 16; ++n)
+    for (std::uint32_t n = 16; n < 32; ++n)
         EXPECT_EQ(topo.leaf(0).liveMembers(n), 2u) << "node " << n;
 }
 
@@ -296,10 +343,10 @@ TEST(FabricHealthReport, TracksLiveLinksBisectionAndDegradation)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
     SinkEndpoint a(eq), b(eq);
-    topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    topo.attach(0, &a);
+    topo.attach(1, &b);
 
     FabricHealth h = topo.health();
     EXPECT_EQ(h.totalUplinks, 4u);
@@ -334,32 +381,35 @@ TEST(FabricHealthReport, GroupCountsArePerInstalledRoute)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    // Node 0 on leaf 0, the four nodes 4..7 on leaf 1.
+    PodFabricShard topo(eq, "fab", twoRacks(4, cfg));
     std::vector<std::unique_ptr<SinkEndpoint>> sinks;
-    for (std::uint32_t n = 0; n < 5; ++n) {
+    for (std::uint32_t n : {0u, 4u, 5u, 6u, 7u}) {
         sinks.push_back(std::make_unique<SinkEndpoint>(eq));
-        topo.attach(n, n == 0 ? 0 : 1, sinks.back().get());
+        topo.attach(n, sinks.back().get());
     }
-    // Leaf 0: one local route + four cross-rack routes; leaf 1: four
-    // local routes + one cross-rack route.
+    // Local routes exist per attached node, cross-rack routes per
+    // node in the spec. Leaf 0: one local route + four cross-rack
+    // routes; leaf 1: four local routes + four cross-rack routes
+    // (nodes 0..3, attached or not).
     FabricHealth h = topo.health();
-    EXPECT_EQ(h.totalGroups, 10u);
+    EXPECT_EQ(h.totalGroups, 13u);
     EXPECT_EQ(h.degradedGroups, 0u);
 
     // With every spine down each cross-rack route is withdrawn. The
     // withdrawn routes count one by one, however the switch stores
-    // them: four on leaf 0, one on leaf 1.
+    // them: four on leaf 0, four on leaf 1.
     topo.failSpine(0);
     topo.failSpine(1);
     h = topo.health();
-    EXPECT_EQ(h.totalGroups, 10u);
-    EXPECT_EQ(h.degradedGroups, 5u);
+    EXPECT_EQ(h.totalGroups, 13u);
+    EXPECT_EQ(h.degradedGroups, 8u);
     EXPECT_EQ(topo.leaf(0).degradedGroups(), 4u);
 
     topo.recoverSpine(0);
     topo.recoverSpine(1);
     h = topo.health();
-    EXPECT_EQ(h.totalGroups, 10u);
+    EXPECT_EQ(h.totalGroups, 13u);
     EXPECT_EQ(h.degradedGroups, 0u);
 }
 
@@ -367,10 +417,10 @@ TEST(FabricFaults, FlapSchedulesCloseTheRegistryLedger)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", twoRacks(1, cfg));
     SinkEndpoint a(eq), b(eq);
-    topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    topo.attach(0, &a);
+    topo.attach(1, &b);
 
     FaultRegistry reg(42);
     topo.attachFaultDomains(reg);
@@ -426,9 +476,9 @@ runSpineDeath(std::uint64_t seed)
     EventQueue eq;
     Node a(eq, "a", sys, 0);
     Node b(eq, "b", sys, 1);
-    LeafSpineTopology topo(eq, "fab", 2, 2, sys.eth);
-    a.connectTo(topo.attach(0, 0, a.endpoint()));
-    b.connectTo(topo.attach(1, 1, b.endpoint()));
+    PodFabricShard topo(eq, "fab", twoRacks(1, sys.eth));
+    a.connectTo(topo.attach(0, a.endpoint()));
+    b.connectTo(topo.attach(1, b.endpoint()));
 
     IperfFlow flow(eq, "iperf", a, b, 1460, 16, 4);
     flow.enableReliable(sys.transport);
@@ -449,7 +499,7 @@ runSpineDeath(std::uint64_t seed)
     r.timeouts = flow.timeouts();
     r.aborted = flow.abortedFlows();
     r.dropsLinkDown = topo.dropsLinkDown();
-    for (std::uint32_t l = 0; l < topo.numLeaves(); ++l)
+    for (std::uint32_t l = 0; l < topo.spec().totalLeaves(); ++l)
         r.downEvents += topo.uplink(l, 0).downEvents();
     r.endTick = eq.curTick();
     return r;

@@ -41,6 +41,12 @@ struct FixedBacklog : FluidBackground
     void onPacketWireBytes(std::uint32_t) override {}
 };
 
+/** Far end of a half-link that keeps nothing. */
+struct NullSink : CrossShardSink
+{
+    void push(Tick, Tick, const Packet &) override {}
+};
+
 } // namespace
 
 TEST(EthLink, FrameTicksIncludeFramingAndMinSize)
@@ -83,6 +89,24 @@ TEST(EthLink, DirectionBIsIndependent)
     link.send(&b, makePacket(64, 1, 0));
     eq.run();
     EXPECT_EQ(a.got.size(), 1u);
+}
+
+TEST(EthLinkDeathTest, HalfLinkCannotChangeState)
+{
+    // Frames already pushed into a cross-shard channel would still
+    // arrive and the far shard would never hear of the transition, so
+    // a half-link refuses every state change.
+    EventQueue eq;
+    EthConfig cfg;
+    EthLink link(eq, "half", cfg);
+    SinkEndpoint a(eq);
+    NullSink far;
+    link.connectRemote(&a, &far);
+    FaultRegistry reg(1);
+    EXPECT_DEATH(link.setLinkState(false), "half-link");
+    EXPECT_DEATH(link.scheduleFlap(10, 5), "half-link");
+    EXPECT_DEATH(link.setFaultDomain(&reg.domain("half")), "half-link");
+    EXPECT_TRUE(link.up());
 }
 
 TEST(EthLink, BackToBackFramesSerialize)

@@ -311,23 +311,37 @@ constexpr Tick kGap = usToTicks(2);
 constexpr Tick kHorizon = usToTicks(1) + kFrames * kGap +
                           usToTicks(200);
 
-/** The monolithic golden: same fabric shape and workload on the
- *  pre-existing single-EventQueue LeafSpineTopology. */
+/**
+ * The monolithic golden: this fabric shape and workload on the
+ * original single-EventQueue leaf-spine builder, which PodFabricShard
+ * replaced. Its output is committed here so every run below keeps
+ * matching that builder rather than only itself.
+ */
+const TrafficResult kMonolithicGolden{
+    .digest = "lhist bits=7 n=768 min=414400 max=1128878 "
+              "sum=682789647;869:80 945:505 949:18 951:121 954:6 "
+              "956:31 961:4 962:2 964:1 ",
+    .sent = 768,
+    .rcvd = 768,
+    .fabric = 2144,
+    .executed = 7968,
+};
+
+/** The same fabric and workload on one EventQueue, through the
+ *  single-queue PodFabricShard constructor. */
 TrafficResult
-runMonolithic()
+runSingleQueue()
 {
     PodFabricSpec spec = testSpec();
     EventQueue eq;
-    LeafSpineTopology topo(eq, "mono", spec.totalLeaves(),
-                           spec.spines, spec.eth);
+    PodFabricShard topo(eq, "mono", spec);
     LatencyHistogram hist;
     std::uint64_t sent = 0, rcvd = 0;
     std::vector<std::unique_ptr<TestSender>> nodes;
     for (std::uint32_t n = 0; n < spec.totalNodes(); ++n) {
         auto node = std::make_unique<TestSender>(eq, spec, n,
                                                  kFrames, kGap);
-        node->access =
-            &topo.attach(n, spec.leafOf(n), node.get());
+        node->access = &topo.attach(n, node.get());
         node->hist = &hist;
         node->sent = &sent;
         node->rcvd = &rcvd;
@@ -409,32 +423,55 @@ runSharded(unsigned shards, ParallelSim::Mode mode)
 TEST(ParallelSim, ShardedFabricMatchesMonolithicGolden)
 {
     // The heart of the determinism contract: the pod-sharded
-    // decomposition at ANY shard count, in BOTH modes, reproduces the
-    // monolithic single-EventQueue topology byte-for-byte — same
-    // latency population (exact digest), same frame counts, same
-    // event count.
+    // decomposition at ANY shard count, in BOTH modes, and the
+    // single-queue fabric reproduce the monolithic golden
+    // byte-for-byte — same latency population (exact digest), same
+    // frame counts, same event count.
     setQuiet(true);
-    TrafficResult golden = runMonolithic();
-    ASSERT_GT(golden.sent, 0u);
+    const TrafficResult &golden = kMonolithicGolden;
     ASSERT_EQ(golden.rcvd, golden.sent); // lossless config
 
-    for (unsigned shards : {1u, 2u, 4u}) {
-        TrafficResult det = runSharded(
-            shards, ParallelSim::Mode::DeterministicMerge);
-        EXPECT_EQ(det.digest, golden.digest) << "det-merge shards="
-                                             << shards;
-        EXPECT_EQ(det.sent, golden.sent);
-        EXPECT_EQ(det.rcvd, golden.rcvd);
-        EXPECT_EQ(det.fabric, golden.fabric);
-        EXPECT_EQ(det.executed, golden.executed);
+    auto expectGolden = [&golden](const TrafficResult &r,
+                                  const std::string &what) {
+        EXPECT_EQ(r.digest, golden.digest) << what;
+        EXPECT_EQ(r.sent, golden.sent) << what;
+        EXPECT_EQ(r.rcvd, golden.rcvd) << what;
+        EXPECT_EQ(r.fabric, golden.fabric) << what;
+        EXPECT_EQ(r.executed, golden.executed) << what;
+    };
 
-        TrafficResult fr =
-            runSharded(shards, ParallelSim::Mode::FreeRun);
-        EXPECT_EQ(fr.digest, golden.digest) << "free-run shards="
-                                            << shards;
-        EXPECT_EQ(fr.executed, golden.executed);
-        EXPECT_EQ(fr.rcvd, golden.rcvd);
+    expectGolden(runSingleQueue(), "single-queue");
+    for (unsigned shards : {1u, 2u, 4u}) {
+        std::string n = std::to_string(shards);
+        expectGolden(
+            runSharded(shards, ParallelSim::Mode::DeterministicMerge),
+            "det-merge shards=" + n);
+        expectGolden(runSharded(shards, ParallelSim::Mode::FreeRun),
+                     "free-run shards=" + n);
     }
+}
+
+TEST(PodFabricShardDeathTest, FailureApiNeedsOneShard)
+{
+    // A sharded fabric is static: its failure and health API panics
+    // instead of changing one half of a split link.
+    setQuiet(true);
+    auto callOnTwoShards = [](auto &&call) {
+        PodFabricSpec spec = testSpec();
+        ParallelSim sim(2, spec.lookahead(),
+                        ParallelSim::Mode::DeterministicMerge);
+        sim.run(kHorizon, [&spec, &call](ShardHost &host) {
+            auto fabric =
+                std::make_shared<PodFabricShard>(host, "fab", spec);
+            call(*fabric);
+            host.hold(std::move(fabric));
+        });
+    };
+    EXPECT_DEATH(callOnTwoShards(
+                     [](PodFabricShard &f) { f.failLink(0, 0); }),
+                 "needs a one-shard fabric");
+    EXPECT_DEATH(callOnTwoShards([](PodFabricShard &f) { f.health(); }),
+                 "needs a one-shard fabric");
 }
 
 TEST(ParallelSim, AsymmetricLoadStaysDeterministic)

@@ -29,16 +29,29 @@ struct SinkEndpoint : NetEndpoint
     }
 };
 
+/** One pod of @p leaves racks under two spines, @p per_leaf nodes per
+ *  rack: node n sits on leaf n / per_leaf. */
+PodFabricSpec
+racks(std::uint32_t leaves, std::uint32_t per_leaf,
+      const EthConfig &eth = EthConfig{})
+{
+    return PodFabricSpec{.pods = 1,
+                         .leavesPerPod = leaves,
+                         .spines = 2,
+                         .nodesPerLeaf = per_leaf,
+                         .eth = eth};
+}
+
 } // namespace
 
 TEST(LeafSpine, RackLocalCrossesOneSwitch)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", racks(2, 2, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 0, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     PacketPtr pkt = makePacket(200, 0, 1);
     la.send(&a, pkt);
@@ -59,10 +72,10 @@ TEST(LeafSpine, CrossRackCrossesThreeSwitches)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", racks(2, 1, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     PacketPtr pkt = makePacket(200, 0, 1);
     la.send(&a, pkt);
@@ -79,10 +92,10 @@ TEST(LeafSpine, EcmpSpreadsFlowsAcrossSpines)
 {
     EventQueue eq;
     EthConfig cfg;
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+    PodFabricShard topo(eq, "fab", racks(2, 1, cfg));
     SinkEndpoint a(eq), b(eq);
-    EthLink &la = topo.attach(0, 0, &a);
-    topo.attach(1, 1, &b);
+    EthLink &la = topo.attach(0, &a);
+    topo.attach(1, &b);
 
     // Many distinct flows to one destination: the (src, dst, flow)
     // hash must spread them over both spines, and every one must
@@ -110,10 +123,10 @@ TEST(LeafSpine, EcmpSelectionIsAPureFunctionOfPacketFields)
     auto run = [](std::vector<std::uint64_t> &per_spine) {
         EventQueue eq;
         EthConfig cfg;
-        LeafSpineTopology topo(eq, "fab", 2, 2, cfg);
+        PodFabricShard topo(eq, "fab", racks(2, 1, cfg));
         SinkEndpoint a(eq), b(eq);
-        EthLink &la = topo.attach(0, 0, &a);
-        topo.attach(1, 1, &b);
+        EthLink &la = topo.attach(0, &a);
+        topo.attach(1, &b);
         for (int f = 0; f < 16; ++f) {
             for (int rep = 0; rep < 3; ++rep) {
                 PacketPtr pkt = makePacket(200, 0, 1);
@@ -139,18 +152,14 @@ TEST(LeafSpine, ManyNodesAllPairsDeliver)
 {
     EventQueue eq;
     EthConfig cfg;
-    const std::uint32_t racks = 3, per_rack = 2;
-    LeafSpineTopology topo(eq, "fab", racks, 2, cfg);
+    PodFabricShard topo(eq, "fab", racks(3, 2, cfg));
     std::vector<std::unique_ptr<SinkEndpoint>> eps;
     std::vector<EthLink *> links;
-    for (std::uint32_t r = 0; r < racks; ++r) {
-        for (std::uint32_t i = 0; i < per_rack; ++i) {
-            eps.push_back(std::make_unique<SinkEndpoint>(eq));
-            links.push_back(&topo.attach(
-                std::uint32_t(eps.size() - 1), r, eps.back().get()));
-        }
+    const std::uint32_t n = topo.spec().totalNodes();
+    for (std::uint32_t i = 0; i < n; ++i) {
+        eps.push_back(std::make_unique<SinkEndpoint>(eq));
+        links.push_back(&topo.attach(i, eps.back().get()));
     }
-    std::uint32_t n = std::uint32_t(eps.size());
     int expected = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
         for (std::uint32_t d = 0; d < n; ++d) {
@@ -175,9 +184,9 @@ TEST(LeafSpine, EndToEndNodesAcrossRacks)
     EventQueue eq;
     Node a(eq, "a", cfg, 0);
     Node b(eq, "b", cfg, 1);
-    LeafSpineTopology topo(eq, "fab", 2, 2, cfg.eth);
-    EthLink &la = topo.attach(0, 0, a.endpoint());
-    EthLink &lb = topo.attach(1, 1, b.endpoint());
+    PodFabricShard topo(eq, "fab", racks(2, 1, cfg.eth));
+    EthLink &la = topo.attach(0, a.endpoint());
+    EthLink &lb = topo.attach(1, b.endpoint());
     NetEndpoint *ea = a.endpoint(), *eb = b.endpoint();
     a.setWire([&la, ea](const PacketPtr &p) { la.send(ea, p); });
     b.setWire([&lb, eb](const PacketPtr &p) { lb.send(eb, p); });
