@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "harness/LatencyHistogram.hh"
+#include "harness/SweepRunner.hh"
 #include "net/Switch.hh"
 #include "transport/FaultInjector.hh"
 #include "transport/TransportHost.hh"
@@ -176,8 +177,21 @@ runIncast(int fanin, double loss_rate, std::uint64_t seed)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    // The sweep is fixed: any argument, the harness's sweep flags
+    // included, is a usage error rather than silently ignored.
+    std::vector<std::string> args(argv + 1, argv + argc);
+    SweepCli cli;
+    std::string error;
+    if (tryParseSweepCli(args, {}, cli, error) && !args.empty())
+        error = "takes no arguments (got '" + args.front() + "')";
+    if (!error.empty()) {
+        std::fprintf(stderr, "%s: %s\nusage: %s\n", argv[0],
+                     error.c_str(), argv[0]);
+        return 2;
+    }
+
     setQuiet(true);
     const std::vector<int> fanins = {2, 4, 8};
     const std::vector<double> losses = {0.0, 0.001, 0.01};
