@@ -250,7 +250,8 @@ TransportFlow::armRateTimer()
         return;
     _rateTimerArmed = true;
     _rateTimerHandle = scheduleRel(_cfg.rateIncreaseInterval,
-                                   [this] { onRateTimer(); });
+                                   [this] { onRateTimer(); },
+                                   EventPriority::Maintenance);
 }
 
 void
