@@ -24,6 +24,7 @@ TransportFlow::send(std::uint64_t bytes)
 {
     ND_ASSERT(!_closed && !_detached);
     ND_ASSERT(_makeData && _txData);
+    applyDueRounds();
     if (!_started) {
         _started = true;
         _startTick = curTick();
@@ -41,6 +42,7 @@ TransportFlow::send(std::uint64_t bytes)
 void
 TransportFlow::close()
 {
+    applyDueRounds();
     _closed = true;
     finishIfDone();
 }
@@ -78,6 +80,7 @@ TransportFlow::txLoop()
     if (_next >= _segments.size() || _next - _base >= _cfg.window)
         return; // woken again by an ACK or fresh data
 
+    applyDueRounds();
     std::uint64_t seq = _next++;
     std::uint32_t bytes = _segments[std::size_t(seq)];
     PacketPtr pkt = _makeData(bytes, _flowId);
@@ -93,7 +96,8 @@ TransportFlow::txLoop()
     _txData(pkt);
 
     armRto();
-    armRateTimer();
+    if (_rateDue == maxTick)
+        _rateDue = curTick() + _cfg.rateIncreaseInterval;
     if (_next < _segments.size() && _next - _base < _cfg.window)
         kickTx();
 }
@@ -107,6 +111,7 @@ TransportFlow::onSenderReceive(const PacketPtr &ack)
 {
     if (_complete || _aborted || _detached || !ack->isAck)
         return;
+    applyDueRounds();
     _acksRx.inc();
 
     if (ack->ecnEcho) {
@@ -128,6 +133,8 @@ TransportFlow::onSenderReceive(const PacketPtr &ack)
         else
             cancelRto();
         finishIfDone();
+        if (!hasWork())
+            sealRateChain();
         kickTx();
     } else if (ack->ackSeq < _base) {
         // Stale ACK: a path change (ECMP reroute after a link death)
@@ -188,6 +195,7 @@ TransportFlow::onRtoExpired()
     _rtoArmed = false;
     if (_complete || _aborted || _detached || _base >= _highWater)
         return;
+    applyDueRounds();
     _timeouts.inc();
     if (++_rtoRetries > _cfg.maxRetries) {
         abort();
@@ -213,6 +221,7 @@ TransportFlow::finishIfDone()
     _complete = true;
     _completeTick = curTick();
     cancelRto();
+    endRateChain();
     if (_onComplete)
         _onComplete(*this);
 }
@@ -223,6 +232,7 @@ TransportFlow::abort()
     _aborted = true;
     _completeTick = curTick();
     cancelRto();
+    endRateChain();
     warn("%s: aborted after %u consecutive RTO expiries (seq %llu of "
          "%llu acked)",
          name().c_str(), _cfg.maxRetries,
@@ -244,26 +254,40 @@ TransportFlow::rateCut()
 }
 
 void
-TransportFlow::armRateTimer()
+TransportFlow::applyDueRounds()
 {
-    if (_rateTimerArmed || _complete || _aborted || _detached)
-        return;
-    _rateTimerArmed = true;
-    _rateTimerHandle = scheduleRel(_cfg.rateIncreaseInterval,
-                                   [this] { onRateTimer(); },
-                                   EventPriority::Maintenance);
+    // A round reads only state the last touch left behind, and every
+    // touch calls this before it changes anything, so a late round
+    // computes exactly what an on-time timer event would have. A
+    // round due exactly now is state maintenance: it goes before the
+    // touch, as a timer at EventPriority::Maintenance would. The chain
+    // keeps running past a round only while the sender has work.
+    while (_rateDue <= curTick()) {
+        _cc.timerRound(_cfg);
+        _rateDue = hasWork() ? _rateDue + _cfg.rateIncreaseInterval
+                             : maxTick;
+    }
 }
 
 void
-TransportFlow::onRateTimer()
+TransportFlow::sealRateChain()
 {
-    _rateTimerArmed = false;
-    if (_complete || _aborted || _detached)
+    // Unless touched again, the chain ends with its round at _rateDue.
+    // An event there advances the queue's clock, and the clock of a
+    // drained queue is an output (congestion_incast divides goodput by
+    // it), so one no-op event stands in for that last round.
+    if (_rateDue == maxTick || _tailTick == _rateDue)
         return;
-    _cc.timerRound(_cfg);
-    // Keep the timer running while the flow still has work.
-    if (_base < _highWater || _next < _segments.size())
-        armRateTimer();
+    _tailTick = _rateDue;
+    _tailEvent = eventq().schedule(
+        _rateDue, [] {}, EventPriority::Maintenance);
+}
+
+void
+TransportFlow::endRateChain()
+{
+    sealRateChain();
+    _rateDue = maxTick;
 }
 
 // ---------------------------------------------------------------------
@@ -274,6 +298,7 @@ FlowHandoff
 TransportFlow::exportHandoff()
 {
     ND_ASSERT(!_detached);
+    applyDueRounds();
     FlowHandoff h;
     h.cc = _cc;
     for (std::uint64_t s = _base; s < _next; ++s)
@@ -285,10 +310,9 @@ TransportFlow::exportHandoff()
     // _detached) so they cannot be delivered twice.
     _detached = true;
     cancelRto();
-    if (_rateTimerArmed) {
-        eventq().deschedule(_rateTimerHandle);
-        _rateTimerArmed = false;
-    }
+    // A detached flow's chain ends without a final round.
+    eventq().deschedule(_tailEvent);
+    _rateDue = maxTick;
     return h;
 }
 

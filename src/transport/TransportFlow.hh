@@ -15,9 +15,15 @@
  *
  * Rate control is DCQCN-flavored (Zhu et al., SIGCOMM'15): an ECN
  * echo cuts the current rate multiplicatively by alpha/2 and raises
- * the congestion estimate alpha; a periodic timer decays alpha and
- * recovers the rate through fast-recovery, additive, and hyper
+ * the congestion estimate alpha; a periodic timer round decays alpha
+ * and recovers the rate through fast-recovery, additive, and hyper
  * increase stages.
+ *
+ * The timer rounds are not events. A round is a pure function of the
+ * rate-controller state, and nothing reads the result before the
+ * flow's next touch (transmit, ACK, RTO, send/close, handoff or a rate
+ * query), so each touch first applies every round due at or before
+ * curTick() (DESIGN.md §8).
  */
 
 #ifndef NETDIMM_TRANSPORT_TRANSPORTFLOW_HH
@@ -145,7 +151,13 @@ class TransportFlow : public SimObject
     std::uint64_t outOfOrderDrops() const { return _oooDrops.value(); }
     /** Reordered (stale) cumulative ACKs ignored by the sender. */
     std::uint64_t staleAcks() const { return _staleAcks.value(); }
-    double currentRateGbps() const { return _cc.rateGbps; }
+    /** The pacing rate, with every timer round due by now applied. */
+    double
+    currentRateGbps()
+    {
+        applyDueRounds();
+        return _cc.rateGbps;
+    }
 
   private:
     const TransportConfig _cfg;
@@ -185,8 +197,12 @@ class TransportFlow : public SimObject
 
     // -- rate controller state (shared law, transport/Dcqcn.hh) ---------
     DcqcnState _cc;
-    bool _rateTimerArmed = false;
-    std::uint64_t _rateTimerHandle = 0;
+    /** Tick of the next timer round; maxTick while no chain runs. */
+    Tick _rateDue = maxTick;
+    /** No-op event at the final round of an ending chain (see
+     *  sealRateChain()), and its tick. */
+    std::uint64_t _tailEvent = EventQueue::invalidHandle;
+    Tick _tailTick = maxTick;
 
     // -- receiver state -------------------------------------------------
     std::uint64_t _expected = 0; ///< next in-order seq awaited
@@ -204,8 +220,15 @@ class TransportFlow : public SimObject
     void abort();
 
     void rateCut();
-    void armRateTimer();
-    void onRateTimer();
+    /** True while the sender has unsent or unacknowledged segments:
+     *  the timer chain keeps running past a round only then. */
+    bool hasWork() const
+    {
+        return _base < _highWater || _next < _segments.size();
+    }
+    void applyDueRounds();
+    void sealRateChain();
+    void endRateChain();
 
     /** Pacing gap for a segment of @p bytes at the current rate. */
     Tick paceGap(std::uint32_t bytes) const;
