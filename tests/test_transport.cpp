@@ -503,3 +503,182 @@ TEST(Determinism, DifferentSeedDifferentDropPattern)
     EXPECT_EQ(a.delivered, b.delivered);
     EXPECT_FALSE(a == b);
 }
+
+// ---------------------------------------------------------------------
+// DCQCN timer rounds: applied at the flow's next touch, exactly as a
+// timer event at EventPriority::Maintenance would have applied them
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * The sender half alone: data frames are captured instead of
+ * delivered and ACKs are injected by hand, so a test decides exactly
+ * when the flow is touched. The RTO is far beyond every horizon
+ * below, so only timer rounds and injected ECN echoes move the rate.
+ */
+struct SenderFixture
+{
+    EventQueue eq;
+    TransportConfig cfg;
+    std::unique_ptr<TransportFlow> flow;
+    std::vector<PacketPtr> sent;
+
+    SenderFixture()
+    {
+        cfg.segmentBytes = 1000;
+        cfg.window = 8;
+        cfg.minRto = cfg.maxRto = usToTicks(10000);
+        flow = std::make_unique<TransportFlow>(eq, "flow", cfg, 7);
+        flow->bindSender(
+            [](std::uint32_t bytes, std::uint64_t fid) {
+                PacketPtr p = makePacket(bytes, 0, 1);
+                p->flowId = fid;
+                return p;
+            },
+            [this](const PacketPtr &p) { sent.push_back(p); });
+    }
+
+    /** A cumulative ACK for @p ack_seq reaches the sender at @p when. */
+    void
+    ackAt(Tick when, std::uint64_t ack_seq, bool ecn_echo)
+    {
+        PacketPtr ack = makePacket(cfg.ackBytes, 1, 0);
+        ack->isAck = true;
+        ack->ackSeq = ack_seq;
+        ack->ecnEcho = ecn_echo;
+        eq.schedule(when, [this, ack] { flow->onSenderReceive(ack); });
+    }
+
+    /** Round period; the first transmit at tick 0 anchors the chain,
+     *  so round k is due at k * period(). */
+    Tick period() const { return cfg.rateIncreaseInterval; }
+};
+
+/** A state right after one cut from line rate: the first round only
+ *  clears the cut flag, later ones recover the rate step by step. */
+DcqcnState
+cutState(const TransportConfig &cfg)
+{
+    DcqcnState s;
+    s.init(cfg);
+    s.cut(cfg, /*now=*/1);
+    return s;
+}
+
+DcqcnState
+afterRounds(DcqcnState s, const TransportConfig &cfg, int rounds)
+{
+    for (int i = 0; i < rounds; ++i)
+        s.timerRound(cfg);
+    return s;
+}
+
+void
+expectSameState(const DcqcnState &got, const DcqcnState &want)
+{
+    EXPECT_EQ(got.rateGbps, want.rateGbps);
+    EXPECT_EQ(got.targetGbps, want.targetGbps);
+    EXPECT_EQ(got.alpha, want.alpha);
+    EXPECT_EQ(got.lastCutTick, want.lastCutTick);
+    EXPECT_EQ(got.cutSinceLastTimer, want.cutSinceLastTimer);
+    EXPECT_EQ(got.incRounds, want.incRounds);
+}
+
+} // namespace
+
+TEST(TransportRateRounds, EcnEchoOnADueTickSeesThatRoundFirst)
+{
+    SenderFixture f;
+    f.flow->send(20 * 1000);
+    const Tick due = f.period(); // round 1
+    f.ackAt(due, /*ack_seq=*/1, /*ecn_echo=*/true);
+    f.eq.runUntil(due);
+    EXPECT_EQ(f.flow->rateCuts(), 1u);
+
+    DcqcnState want;
+    want.init(f.cfg);
+    want.timerRound(f.cfg);
+    want.cut(f.cfg, due);
+    FlowHandoff h = f.flow->exportHandoff();
+    expectSameState(h.cc, want);
+
+    // The other order is observably different, so the check above
+    // pins which one the flow used.
+    DcqcnState cutFirst;
+    cutFirst.init(f.cfg);
+    cutFirst.cut(f.cfg, due);
+    cutFirst.timerRound(f.cfg);
+    EXPECT_NE(h.cc.alpha, cutFirst.alpha);
+    EXPECT_NE(h.cc.rateGbps, cutFirst.rateGbps);
+}
+
+TEST(TransportRateRounds, RateAfterRunUntilHasEveryDueRound)
+{
+    SenderFixture f;
+    FlowHandoff in;
+    in.cc = cutState(f.cfg);
+    f.flow->importHandoff(in);
+    f.flow->send(20 * 1000);
+
+    const int n = 7;
+    f.eq.runUntil(n * f.period() - 1);
+    EXPECT_EQ(f.flow->currentRateGbps(),
+              afterRounds(in.cc, f.cfg, n - 1).rateGbps);
+    // Round n is due exactly at the horizon: it counts.
+    f.eq.runUntil(n * f.period());
+    EXPECT_EQ(f.flow->currentRateGbps(),
+              afterRounds(in.cc, f.cfg, n).rateGbps);
+    EXPECT_LT(f.flow->currentRateGbps(), f.cfg.lineRateGbps);
+    EXPECT_GT(f.flow->currentRateGbps(),
+              afterRounds(in.cc, f.cfg, n - 1).rateGbps);
+}
+
+TEST(TransportRateRounds, DrainedClockEndsAtTheFinalDueRound)
+{
+    RawFlowFixture f;
+    f.flow->send(1200 * 1000);
+    f.flow->close();
+    f.eq.run();
+
+    ASSERT_TRUE(f.flow->complete());
+    const Tick period = f.cfg.rateIncreaseInterval;
+    // The flow had work from its first transmit (tick 0) until it
+    // completed, so its rounds fell on multiples of the period; the
+    // chain's last round is the first one after completion.
+    ASSERT_GT(f.flow->completeTick(), 2 * period);
+    EXPECT_EQ(f.eq.curTick(),
+              (f.flow->completeTick() / period + 1) * period);
+}
+
+TEST(TransportRateRounds, IdleFlowClockEndsAtItsLastRound)
+{
+    RawFlowFixture f;
+    // Never closed: once everything is acked the flow idles, and its
+    // chain ends with one last round at the next due tick.
+    f.flow->send(4 * 1000);
+    f.eq.run();
+
+    EXPECT_FALSE(f.flow->complete());
+    EXPECT_EQ(f.flow->deliveredBytes(), 4000u);
+    EXPECT_EQ(f.eq.curTick(), f.cfg.rateIncreaseInterval);
+}
+
+TEST(TransportRateRounds, HandoffMidChainIncludesEveryDueRound)
+{
+    SenderFixture f;
+    FlowHandoff in;
+    in.cc = cutState(f.cfg);
+    f.flow->importHandoff(in);
+    f.flow->send(20 * 1000);
+
+    const int n = 12; // past fast recovery: additive increase
+    f.eq.runUntil(n * f.period() + f.period() / 2);
+    FlowHandoff h = f.flow->exportHandoff();
+    expectSameState(h.cc, afterRounds(in.cc, f.cfg, n));
+    EXPECT_EQ(h.bytesInFlight + h.bytesUnsent, 20u * 1000u);
+    // A detached flow leaves nothing behind in the queue: no RTO, no
+    // round, no chain-end event.
+    EXPECT_TRUE(f.eq.empty());
+}
