@@ -344,6 +344,10 @@ struct Dumbbell
 struct RunOut
 {
     std::uint64_t events = 0;
+    /** Event-heap cost: its high-water depth and the share of pops
+     *  that dropped a cancelled key instead of running an event. */
+    std::size_t peakHeap = 0;
+    double deadPopShare = 0.0;
     double p50Ns = 0.0, p99Ns = 0.0;
     std::uint64_t probesMeasured = 0, probesExpected = 0;
     std::string digest;
@@ -384,6 +388,10 @@ runScenario(const Knobs &k, FidelityMode mode, bool inert_bg = false,
 
     RunOut o;
     o.events = d.eq.executedEvents();
+    o.peakHeap = d.eq.peakHeapDepth();
+    std::uint64_t pops = o.events + d.eq.deadKeysPopped();
+    o.deadPopShare =
+        pops ? double(d.eq.deadKeysPopped()) / double(pops) : 0.0;
     o.p50Ns = ticksToNs(Tick(d.sink.probeHist.percentile(0.50)));
     o.p99Ns = ticksToNs(Tick(d.sink.probeHist.percentile(0.99)));
     o.probesMeasured = d.sink.probesMeasured;
@@ -627,6 +635,9 @@ main(int argc, char **argv)
                     (unsigned long long)r.ecnMarks,
                     r.bulkDeliveredBytes / 1.0e6);
         std::printf("  digest=%s\n", r.digest.c_str());
+        std::printf("  heap: peak depth %zu, dead keys %.1f%% of "
+                    "pops\n",
+                    r.peakHeap, r.deadPopShare * 100.0);
         return 0;
     }
 
@@ -709,6 +720,17 @@ main(int argc, char **argv)
                      "FAIL: hybrid event reduction below the 20x "
                      "floor\n");
         ok = false;
+    }
+    for (const Row &r : rows) {
+        if (!r.gated)
+            continue;
+        std::printf("heap    : peak depth %zu packet, %zu hybrid, %zu "
+                    "fluid; dead keys %.1f%%, %.1f%%, %.1f%% of "
+                    "pops\n",
+                    r.packet.peakHeap, r.hybrid.peakHeap,
+                    r.fluid.peakHeap, r.packet.deadPopShare * 100.0,
+                    r.hybrid.deadPopShare * 100.0,
+                    r.fluid.deadPopShare * 100.0);
     }
 
     // Inert-background byte identity: the same packet-level scenario

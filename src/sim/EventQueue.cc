@@ -49,6 +49,8 @@ EventQueue::heapPush(const Entry &e)
 {
     std::size_t i = _heap.size();
     _heap.push_back(e);
+    if (_heap.size() > _peakHeap)
+        _peakHeap = _heap.size();
     while (i > 0) {
         std::size_t p = (i - 1) / 4;
         if (!(_heap[p] > e))
@@ -127,6 +129,7 @@ EventQueue::skipDead()
         if (s.armed && s.gen == top.gen)
             return;
         heapPop();
+        ++_deadPopped;
     }
 }
 
@@ -204,6 +207,7 @@ EventQueue::runLoop(Tick limit, bool health_on_drain)
                 break;
             }
             heapPop(); // cancelled or stale: drop the dead key
+            ++_deadPopped;
         }
         if (s == nullptr) {
             drained = true;

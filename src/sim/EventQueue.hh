@@ -184,6 +184,18 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executedEvents() const { return _executed; }
 
+    // -- heap statistics -------------------------------------------------
+
+    /**
+     * Cancelled or stale heap keys dropped since construction: the
+     * pops that ran no event. deschedule() leaves its key behind, so
+     * this is the heap work wasted on cancellations.
+     */
+    std::uint64_t deadKeysPopped() const { return _deadPopped; }
+
+    /** Largest heap size (live plus dead keys) since construction. */
+    std::size_t peakHeapDepth() const { return _peakHeap; }
+
     // -- per-simulation id allocation -------------------------------------
     //
     // Mutable id state lives on the queue, not in a process global, so
@@ -352,6 +364,8 @@ class EventQueue
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
     std::uint64_t _nextPacketId = 1;
+    std::uint64_t _deadPopped = 0;
+    std::size_t _peakHeap = 0;
 
     std::vector<HealthProbe> _probes;
     std::uint64_t _deadlocks = 0;

@@ -292,3 +292,40 @@ TEST(EventQueue, PeekNextTickSkipsDescheduledEvents)
     EXPECT_EQ(eq.peekNextTick(), 20u);
     EXPECT_EQ(eq.runUntil(20), 1u);
 }
+
+TEST(EventQueue, HeapStatsCountDeadKeysAndPeakDepth)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.deadKeysPopped(), 0u);
+    EXPECT_EQ(eq.peakHeapDepth(), 0u);
+
+    std::vector<std::uint64_t> h;
+    for (Tick t = 1; t <= 6; ++t)
+        h.push_back(eq.schedule(t * 10, [] {}));
+    EXPECT_EQ(eq.peakHeapDepth(), 6u);
+    // Cancelled keys stay in the heap (and in the peak) until they
+    // surface; each one is counted once, by whichever path drops it.
+    eq.deschedule(h[0]);
+    eq.deschedule(h[3]);
+    eq.deschedule(h[3]); // no-op: already cancelled
+    EXPECT_EQ(eq.peekNextTick(), 20u); // drops the tick-10 key
+    EXPECT_EQ(eq.deadKeysPopped(), 1u);
+    EXPECT_EQ(eq.run(), 4u);
+    EXPECT_EQ(eq.deadKeysPopped(), 2u);
+    EXPECT_EQ(eq.executedEvents(), 4u);
+
+    // The peak is a high-water mark: a drained, refilled queue keeps
+    // it until the heap grows past it.
+    eq.schedule(100, [] {});
+    EXPECT_EQ(eq.peakHeapDepth(), 6u);
+    for (int i = 0; i < 7; ++i)
+        eq.schedule(200, [] {});
+    EXPECT_EQ(eq.peakHeapDepth(), 8u);
+    // A cancelled key counts once it surfaces, even past a
+    // runUntil() horizon; while buried it does not.
+    std::uint64_t late = eq.schedule(300, [] {});
+    eq.deschedule(late);
+    EXPECT_EQ(eq.deadKeysPopped(), 2u);
+    EXPECT_EQ(eq.runUntil(250), 8u);
+    EXPECT_EQ(eq.deadKeysPopped(), 3u);
+}
