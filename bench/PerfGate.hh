@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared scaffolding of the simulator-performance benches
- * (sim_speedup, pdes_scale, hybrid_fidelity): wall-clock and peak-RSS
- * readings, and the committed-baseline regression gate.
+ * (sim_speedup, pdes_scale, hybrid_fidelity): their command line,
+ * wall-clock and peak-RSS readings, and the committed-baseline
+ * regression gate.
  */
 
 #ifndef NETDIMM_BENCH_PERFGATE_HH
@@ -15,9 +16,101 @@
 #include <initializer_list>
 #include <string>
 #include <sys/resource.h>
+#include <vector>
+
+#include "harness/SweepRunner.hh"
 
 namespace netdimm::bench
 {
+
+/**
+ * Command line of a perf-gate bench: `--out FILE`, `--baseline FILE`
+ * and `--tolerance F` on top of the shared sweep CLI.
+ */
+struct PerfGateCli
+{
+    /** Everything else, parsed by tryParseSweepCli(). */
+    SweepCli sweep;
+    /** `--out FILE`: where the bench writes its JSON report. */
+    std::string out;
+    /** `--baseline FILE`; empty = no baseline check. */
+    std::string baseline;
+    /** `--tolerance F`: allowed fractional regression, in [0, 1). */
+    double tolerance = 0.20;
+};
+
+/**
+ * Testable parser core: peels the perf-gate flags off @p args and
+ * forwards the rest, with @p extra_flags, to tryParseSweepCli(). A
+ * missing value, or a tolerance that is not a finite number in
+ * [0, 1), is an error. @p out keeps its `out` default unless
+ * `--out` is given.
+ */
+inline bool
+tryParsePerfGateCli(const std::vector<std::string> &args,
+                    const std::vector<std::string> &extra_flags,
+                    PerfGateCli &out, std::string &error)
+{
+    PerfGateCli cli;
+    cli.out = out.out;
+    std::vector<std::string> rest;
+    for (std::size_t a = 0; a < args.size(); ++a) {
+        const std::string &arg = args[a];
+        if (arg != "--out" && arg != "--baseline" &&
+            arg != "--tolerance") {
+            rest.push_back(arg);
+            continue;
+        }
+        if (a + 1 >= args.size()) {
+            error = arg + " requires a value";
+            return false;
+        }
+        const std::string &v = args[++a];
+        if (arg == "--out") {
+            cli.out = v;
+        } else if (arg == "--baseline") {
+            cli.baseline = v;
+        } else {
+            char *end = nullptr;
+            double t = std::strtod(v.c_str(), &end);
+            if (end == v.c_str() || *end != '\0' || !std::isfinite(t) ||
+                t < 0.0 || t >= 1.0) {
+                error = "--tolerance must be a number in [0, 1) (got '" +
+                        v + "')";
+                return false;
+            }
+            cli.tolerance = t;
+        }
+    }
+    if (!tryParseSweepCli(rest, extra_flags, cli.sweep, error))
+        return false;
+    out = cli;
+    return true;
+}
+
+/**
+ * Parse argv (the JSON report defaults to @p default_out); on any
+ * error prints the diagnostic plus `usage: <bench> @p usage [--out
+ * FILE] [--baseline FILE] [--tolerance F]` to stderr and exits 2.
+ */
+inline PerfGateCli
+parsePerfGateCli(int argc, char **argv, const char *default_out,
+                 const std::vector<std::string> &extra_flags,
+                 const char *usage)
+{
+    PerfGateCli cli;
+    cli.out = default_out;
+    std::string error;
+    std::vector<std::string> args(argv + 1, argv + argc);
+    if (!tryParsePerfGateCli(args, extra_flags, cli, error)) {
+        std::fprintf(stderr,
+                     "%s: %s\nusage: %s %s [--out FILE] "
+                     "[--baseline FILE] [--tolerance F]\n",
+                     argv[0], error.c_str(), argv[0], usage);
+        std::exit(2);
+    }
+    return cli;
+}
 
 /** Seconds elapsed since @p t0. */
 inline double

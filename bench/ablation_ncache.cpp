@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "mem/MemorySystem.hh"
 #include "netdimm/NetDimmDevice.hh"
 
@@ -91,8 +92,9 @@ runOne(std::uint64_t ncache_bytes, std::uint32_t depth, int npackets,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArguments(argc, argv);
     setQuiet(true);
     const int npackets = 60;
     const std::uint32_t bytes = 1460;

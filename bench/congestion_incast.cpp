@@ -181,16 +181,7 @@ main(int argc, char **argv)
 {
     // The sweep is fixed: any argument, the harness's sweep flags
     // included, is a usage error rather than silently ignored.
-    std::vector<std::string> args(argv + 1, argv + argc);
-    SweepCli cli;
-    std::string error;
-    if (tryParseSweepCli(args, {}, cli, error) && !args.empty())
-        error = "takes no arguments (got '" + args.front() + "')";
-    if (!error.empty()) {
-        std::fprintf(stderr, "%s: %s\nusage: %s\n", argv[0],
-                     error.c_str(), argv[0]);
-        return 2;
-    }
+    requireNoArguments(argc, argv);
 
     setQuiet(true);
     const std::vector<int> fanins = {2, 4, 8};

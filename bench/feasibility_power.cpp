@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "harness/SweepRunner.hh"
 #include "net/Link.hh"
 #include "sim/PowerModel.hh"
 #include "workload/IperfFlow.hh"
@@ -17,8 +18,9 @@
 using namespace netdimm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArguments(argc, argv);
     setQuiet(true);
     const Tick sim_time = usToTicks(400);
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "net/Link.hh"
 #include "workload/IperfFlow.hh"
 #include "workload/MlcInjector.hh"
@@ -71,8 +72,9 @@ runOne(double delay_ns, Tick sim_time)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArguments(argc, argv);
     setQuiet(true);
     const Tick sim_time = usToTicks(400);
 

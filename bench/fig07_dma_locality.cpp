@@ -15,14 +15,16 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "kernel/Node.hh"
 #include "net/Link.hh"
 
 using namespace netdimm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArguments(argc, argv);
     setQuiet(true);
     SystemConfig cfg;
     cfg.nic = NicKind::Discrete;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "sim/SystemConfig.hh"
 #include "workload/LatencyHarness.hh"
 
@@ -50,8 +51,9 @@ at(const std::vector<PingResult> &rows, std::uint32_t bytes)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArguments(argc, argv);
     setQuiet(true);
     SystemConfig base;
 

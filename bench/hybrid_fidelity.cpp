@@ -546,41 +546,18 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const char *outPath = "BENCH_hybrid.json";
-    const char *baselinePath = nullptr;
-    double tolerance = 0.20;
-    bool fidelityGiven = false;
+    bench::PerfGateCli gate = bench::parsePerfGateCli(
+        argc, argv, "BENCH_hybrid.json", {"--trace"},
+        "[--short] [--fidelity packet|hybrid|fluid] [--trace]");
+    const SweepCli &cli = gate.sweep;
     bool traceFlag = false;
-
-    std::vector<std::string> args;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
-            outPath = argv[++a];
-        } else if (std::strcmp(argv[a], "--baseline") == 0 &&
-                   a + 1 < argc) {
-            baselinePath = argv[++a];
-        } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
-                   a + 1 < argc) {
-            tolerance = std::atof(argv[++a]);
-        } else if (std::strcmp(argv[a], "--trace") == 0) {
+    for (const std::string &f : cli.rest)
+        if (f == "--trace")
             traceFlag = true;
-        } else {
-            if (std::strcmp(argv[a], "--fidelity") == 0)
-                fidelityGiven = true;
-            args.push_back(argv[a]);
-        }
-    }
-    SweepCli cli;
-    std::string error;
-    if (!tryParseSweepCli(args, {}, cli, error)) {
-        std::fprintf(stderr,
-                     "%s: %s\n"
-                     "usage: %s [--short] "
-                     "[--fidelity packet|hybrid|fluid] [--out FILE] "
-                     "[--baseline FILE] [--tolerance F]\n",
-                     argv[0], error.c_str(), argv[0]);
-        return 2;
-    }
+    bool fidelityGiven = false;
+    for (int a = 1; a < argc; ++a)
+        if (std::strcmp(argv[a], "--fidelity") == 0)
+            fidelityGiven = true;
 
     // Short mode drops the capacity-knee reference row, not the
     // horizon: the witness p99 integrates over ~5
@@ -772,9 +749,9 @@ main(int argc, char **argv)
     }
 
     long rssKb = bench::peakRssKb();
-    FILE *out = std::fopen(outPath, "w");
+    FILE *out = std::fopen(gate.out.c_str(), "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+        std::fprintf(stderr, "cannot write %s\n", gate.out.c_str());
         return 2;
     }
     std::fprintf(out,
@@ -809,12 +786,13 @@ main(int argc, char **argv)
                  (unsigned long long)drill.promotions,
                  (unsigned long long)drill.demotions, rssKb);
     std::fclose(out);
-    std::printf("wrote %s\n", outPath);
+    std::printf("wrote %s\n", gate.out.c_str());
 
-    if (baselinePath) {
+    if (!gate.baseline.empty()) {
         int rc = bench::checkBaseline(
-            baselinePath, {{"hybrid_event_reduction", minReduction}},
-            tolerance, "hybrid event reduction regressed");
+            gate.baseline.c_str(),
+            {{"hybrid_event_reduction", minReduction}},
+            gate.tolerance, "hybrid event reduction regressed");
         if (rc == 2)
             return 2;
         if (rc != 0)

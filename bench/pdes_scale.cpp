@@ -38,7 +38,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -252,38 +251,10 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const char *outPath = "BENCH_pdes.json";
-    const char *baselinePath = nullptr;
-    double tolerance = 0.20;
-
-    // Valued flags are peeled off first; the remainder goes through
-    // the shared sweep-CLI parser (which owns --short / --shards and
-    // the --det allowlist entry).
-    std::vector<std::string> args;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
-            outPath = argv[++a];
-        } else if (std::strcmp(argv[a], "--baseline") == 0 &&
-                   a + 1 < argc) {
-            baselinePath = argv[++a];
-        } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
-                   a + 1 < argc) {
-            tolerance = std::atof(argv[++a]);
-        } else {
-            args.push_back(argv[a]);
-        }
-    }
-    SweepCli cli;
-    std::string error;
-    if (!tryParseSweepCli(args, {"--det"}, cli, error)) {
-        std::fprintf(stderr,
-                     "%s: %s\n"
-                     "usage: %s [--short] [--det] [--shards N] "
-                     "[--out FILE] [--baseline FILE] "
-                     "[--tolerance F]\n",
-                     argv[0], error.c_str(), argv[0]);
-        return 2;
-    }
+    bench::PerfGateCli gate = bench::parsePerfGateCli(
+        argc, argv, "BENCH_pdes.json", {"--det"},
+        "[--short] [--det] [--shards N]");
+    const SweepCli &cli = gate.sweep;
     bool detOnly = false;
     for (const std::string &f : cli.rest)
         if (f == "--det")
@@ -412,9 +383,9 @@ main(int argc, char **argv)
     long rssKb = bench::peakRssKb();
     std::printf("peak RSS: %ld KB\n", rssKb);
 
-    FILE *out = std::fopen(outPath, "w");
+    FILE *out = std::fopen(gate.out.c_str(), "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+        std::fprintf(stderr, "cannot write %s\n", gate.out.c_str());
         return 2;
     }
     std::fprintf(out,
@@ -448,12 +419,13 @@ main(int argc, char **argv)
                  "}\n",
                  shardsN, speedup, shardsN, efficiency, rssKb);
     std::fclose(out);
-    std::printf("wrote %s\n", outPath);
+    std::printf("wrote %s\n", gate.out.c_str());
 
-    if (baselinePath) {
+    if (!gate.baseline.empty()) {
         int rc = bench::checkBaseline(
-            baselinePath, {{"pdes_events_per_sec_shards1", evps1}},
-            tolerance, "1-shard events/sec regression");
+            gate.baseline.c_str(),
+            {{"pdes_events_per_sec_shards1", evps1}},
+            gate.tolerance, "1-shard events/sec regression");
         if (rc != 0)
             return rc;
     }

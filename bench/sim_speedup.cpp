@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <new>
 #include <string>
@@ -421,40 +420,10 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    bool shortMode = false;
-    const char *outPath = "BENCH_simcore.json";
-    const char *baselinePath = nullptr;
-    double tolerance = 0.20;
-    unsigned jobs = 0; // 0 = hardware concurrency
-    for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--short") == 0) {
-            shortMode = true;
-        } else if (std::strcmp(argv[a], "--out") == 0 &&
-                   a + 1 < argc) {
-            outPath = argv[++a];
-        } else if (std::strcmp(argv[a], "--baseline") == 0 &&
-                   a + 1 < argc) {
-            baselinePath = argv[++a];
-        } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
-                   a + 1 < argc) {
-            tolerance = std::atof(argv[++a]);
-        } else if (std::strcmp(argv[a], "--jobs") == 0 &&
-                   a + 1 < argc) {
-            jobs = unsigned(std::atoi(argv[++a]));
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--short] [--out FILE] "
-                         "[--baseline FILE] [--tolerance F] "
-                         "[--jobs N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
+    bench::PerfGateCli cli = bench::parsePerfGateCli(
+        argc, argv, "BENCH_simcore.json", {}, "[--short] [--jobs N]");
+    const bool shortMode = cli.sweep.shortMode;
+    const unsigned jobs = cli.sweep.jobs;
 
     const int npackets = shortMode ? 6000 : 40000;
     const std::uint64_t churnFlows = 64;
@@ -515,9 +484,9 @@ main(int argc, char **argv)
     long rssKb = bench::peakRssKb();
     std::printf("peak RSS: %ld KB\n", rssKb);
 
-    FILE *out = std::fopen(outPath, "w");
+    FILE *out = std::fopen(cli.out.c_str(), "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+        std::fprintf(stderr, "cannot write %s\n", cli.out.c_str());
         return 2;
     }
     std::fprintf(
@@ -556,15 +525,15 @@ main(int argc, char **argv)
         camp.speedup(), (unsigned long long)camp.cells, camp.jobs,
         camp.wallSeq, camp.wallPar, camp.witnessSeq, rssKb);
     std::fclose(out);
-    std::printf("wrote %s\n", outPath);
+    std::printf("wrote %s\n", cli.out.c_str());
 
-    if (baselinePath) {
+    if (!cli.baseline.empty()) {
         int rc = bench::checkBaseline(
-            baselinePath,
+            cli.baseline.c_str(),
             {{"replay_events_per_sec", replay.eventsPerSec()},
              {"churn_events_per_sec", churn.eventsPerSec()},
              {"campaign_cells_per_sec", camp.cellsPerSec()}},
-            tolerance, "events/sec regression");
+            cli.tolerance, "events/sec regression");
         if (rc != 0)
             return rc;
     }

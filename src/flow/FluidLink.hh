@@ -65,7 +65,6 @@ class FluidLink : public FluidBackground
     }
 
     const std::string &name() const { return _name; }
-    double capacityGbps() const { return _cfg.gbps; }
     /** Wire bytes one reference frame occupies. */
     std::uint32_t refWireFrameBytes() const { return _refWireFrame; }
     /** Wire bytes per payload byte at the reference frame size. */

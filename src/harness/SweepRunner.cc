@@ -14,10 +14,9 @@ SweepRunner::SweepRunner(unsigned jobs)
 {
     if (_jobs == 0)
         _jobs = 1; // hardware_concurrency() may report 0
-    _cellsByWorker.assign(_jobs, 0);
     _workers.reserve(_jobs);
     for (unsigned w = 0; w < _jobs; ++w)
-        _workers.emplace_back([this, w] { workerMain(w); });
+        _workers.emplace_back([this] { workerMain(); });
 }
 
 SweepRunner::~SweepRunner()
@@ -32,7 +31,7 @@ SweepRunner::~SweepRunner()
 }
 
 void
-SweepRunner::workerMain(unsigned worker)
+SweepRunner::workerMain()
 {
     for (;;) {
         Job job;
@@ -45,19 +44,8 @@ SweepRunner::workerMain(unsigned worker)
             job = std::move(_queue.front());
             _queue.pop_front();
         }
-        job(worker);
+        job();
     }
-}
-
-std::uint64_t
-SweepRunner::cellsExecuted() const
-{
-    // Each slot is written only by its owning worker; snapshot reads
-    // here happen while workers are idle (between sweeps).
-    std::uint64_t total = 0;
-    for (std::uint64_t c : _cellsByWorker)
-        total += c;
-    return total;
 }
 
 void
@@ -80,7 +68,7 @@ SweepRunner::runErased(std::size_t n,
     {
         std::lock_guard<std::mutex> g(_m);
         for (std::size_t i = 0; i < n; ++i) {
-            _queue.emplace_back([&, i](unsigned worker) {
+            _queue.emplace_back([&, i] {
                 std::string what;
                 bool failed = false;
                 try {
@@ -92,7 +80,7 @@ SweepRunner::runErased(std::size_t n,
                     failed = true;
                     what = "unknown exception";
                 }
-                ++_cellsByWorker[worker];
+                ++_cellsExecuted;
                 std::lock_guard<std::mutex> dg(done_m);
                 // Keep the FIRST failing cell in grid order so the
                 // report does not depend on worker interleaving.
@@ -115,49 +103,6 @@ SweepRunner::runErased(std::size_t n,
         throw SweepCellError(firstFailed, failLabel, failWhat);
 }
 
-std::vector<WorkerPoolStats>
-SweepRunner::drainWorkerPools()
-{
-    std::vector<WorkerPoolStats> out(_jobs);
-
-    // Rendezvous: enqueue one drain job per worker; a worker that
-    // claims one blocks until all _jobs are claimed, so each worker
-    // takes exactly one and drains exactly its own pools.
-    std::mutex m;
-    std::condition_variable cv;
-    unsigned arrived = 0;
-    std::size_t finished = 0;
-
-    {
-        std::lock_guard<std::mutex> g(_m);
-        for (unsigned j = 0; j < _jobs; ++j) {
-            _queue.emplace_back([&](unsigned worker) {
-                {
-                    std::unique_lock<std::mutex> lk(m);
-                    if (++arrived == _jobs)
-                        cv.notify_all();
-                    else
-                        cv.wait(lk,
-                                [&] { return arrived == _jobs; });
-                }
-                WorkerPoolStats ws;
-                ws.worker = worker;
-                ws.pools = drainObjectPools();
-                ws.cells = _cellsByWorker[worker];
-                std::lock_guard<std::mutex> lk(m);
-                out[worker] = ws;
-                if (++finished == _jobs)
-                    cv.notify_all();
-            });
-        }
-    }
-    _cv.notify_all();
-
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return finished == _jobs; });
-    return out;
-}
-
 const char *
 fidelityModeName(FidelityMode mode)
 {
@@ -172,6 +117,33 @@ fidelityModeName(FidelityMode mode)
     return "?";
 }
 
+namespace
+{
+
+/** Parse the value after the flag at args[@p a] as a positive
+ *  integer into @p out, advancing @p a past it. */
+bool
+parsePositive(const std::vector<std::string> &args, std::size_t &a,
+              unsigned &out, std::string &error)
+{
+    const std::string &flag = args[a];
+    if (a + 1 >= args.size()) {
+        error = flag + " requires a value";
+        return false;
+    }
+    const std::string &v = args[++a];
+    char *end = nullptr;
+    long n = std::strtol(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || n < 1) {
+        error = flag + " must be a positive integer (got '" + v + "')";
+        return false;
+    }
+    out = unsigned(n);
+    return true;
+}
+
+} // namespace
+
 bool
 tryParseSweepCli(const std::vector<std::string> &args,
                  const std::vector<std::string> &extra_flags,
@@ -184,36 +156,11 @@ tryParseSweepCli(const std::vector<std::string> &args,
             cli.shortMode = true;
             continue;
         }
-        if (arg == "--jobs") {
-            if (a + 1 >= args.size()) {
-                error = "--jobs requires a value";
+        if (arg == "--jobs" || arg == "--shards") {
+            if (!parsePositive(args, a,
+                               arg == "--jobs" ? cli.jobs : cli.shards,
+                               error))
                 return false;
-            }
-            const std::string &v = args[++a];
-            char *end = nullptr;
-            long n = std::strtol(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 1) {
-                error = "--jobs must be a positive integer (got '" +
-                        v + "')";
-                return false;
-            }
-            cli.jobs = unsigned(n);
-            continue;
-        }
-        if (arg == "--shards") {
-            if (a + 1 >= args.size()) {
-                error = "--shards requires a value";
-                return false;
-            }
-            const std::string &v = args[++a];
-            char *end = nullptr;
-            long n = std::strtol(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 1) {
-                error = "--shards must be a positive integer (got '" +
-                        v + "')";
-                return false;
-            }
-            cli.shards = unsigned(n);
             continue;
         }
         if (arg == "--fidelity") {
@@ -276,6 +223,16 @@ parseSweepCli(int argc, char **argv,
         std::exit(2);
     }
     return cli;
+}
+
+void
+requireNoArguments(int argc, char **argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "%s: takes no arguments (got '%s')\nusage: %s\n",
+                 argv[0], argv[1], argv[0]);
+    std::exit(2);
 }
 
 } // namespace netdimm

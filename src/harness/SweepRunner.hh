@@ -21,9 +21,8 @@
  *    state owned by another cell or by the caller;
  *  - everything mutable the simulator core used to keep in process
  *    globals is instance- or thread-scoped: packet ids come from the
- *    cell's EventQueue (EventQueue::allocPacketId()), object pools
- *    are thread-local (sim/Pool.hh), so pooled objects must not
- *    escape the cell that made them;
+ *    cell's EventQueue (EventQueue::allocPacketId()) and object
+ *    pools are thread-local (sim/Pool.hh);
  *  - cells run identical code at jobs=1 and jobs=N, so any
  *    divergence between the two tables is a cross-cell leak — the
  *    jobs-invariance tests assert byte-identical serialized tables.
@@ -37,6 +36,7 @@
 #ifndef NETDIMM_HARNESS_SWEEPRUNNER_HH
 #define NETDIMM_HARNESS_SWEEPRUNNER_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -47,8 +47,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "sim/Pool.hh"
 
 namespace netdimm
 {
@@ -84,25 +82,13 @@ class SweepCellError : public std::runtime_error
     std::string _label;
 };
 
-/** Per-worker report from SweepRunner::drainWorkerPools(). */
-struct WorkerPoolStats
-{
-    /** Worker index in [0, jobs). */
-    unsigned worker = 0;
-    /** That worker thread's object-pool totals at drain time. */
-    PoolStats pools{};
-    /** Cells this worker executed since construction. */
-    std::uint64_t cells = 0;
-};
-
 /**
  * Fixed-size thread pool executing sweep cells.
  *
  * Cells are claimed in grid order (lowest index first) but finish in
  * any order; results land in a pre-sized vector indexed by cell, so
  * collection is deterministic. All cells — even at jobs=1 — run on
- * worker threads, never on the caller's thread, so the caller's
- * thread-local pool state can't leak into results either.
+ * worker threads, never on the caller's thread.
  */
 class SweepRunner
 {
@@ -120,7 +106,7 @@ class SweepRunner
     unsigned jobs() const { return _jobs; }
 
     /** Total cells executed (all run() calls, all workers). */
-    std::uint64_t cellsExecuted() const;
+    std::uint64_t cellsExecuted() const { return _cellsExecuted; }
 
     /**
      * Execute every cell and return results in grid order. Blocks
@@ -141,14 +127,6 @@ class SweepRunner
         return results;
     }
 
-    /**
-     * Drain every worker's thread-local object pools (a rendezvous:
-     * each worker drains its own pools exactly once) and return the
-     * per-thread totals, indexed by worker. Call only while no sweep
-     * is in flight.
-     */
-    std::vector<WorkerPoolStats> drainWorkerPools();
-
   private:
     /** Type-erased core of run(). */
     void runErased(std::size_t n,
@@ -156,14 +134,14 @@ class SweepRunner
                    const std::function<const std::string &(
                        std::size_t)> &label);
 
-    void workerMain(unsigned worker);
+    void workerMain();
 
-    using Job = std::function<void(unsigned worker)>;
+    using Job = std::function<void()>;
 
     unsigned _jobs;
     std::vector<std::thread> _workers;
-    /** Cells executed per worker; each slot written by its owner. */
-    std::vector<std::uint64_t> _cellsByWorker;
+    /** Cells executed by all run() calls. */
+    std::atomic<std::uint64_t> _cellsExecuted{0};
 
     std::mutex _m;
     std::condition_variable _cv;
@@ -227,6 +205,12 @@ bool tryParseSweepCli(const std::vector<std::string> &args,
  */
 SweepCli parseSweepCli(int argc, char **argv,
                        const std::vector<std::string> &extra_flags = {});
+
+/**
+ * For benches with a fixed sweep and no flags: any argument prints a
+ * diagnostic plus a usage line to stderr and exits with status 2.
+ */
+void requireNoArguments(int argc, char **argv);
 
 } // namespace netdimm
 

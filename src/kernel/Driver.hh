@@ -68,8 +68,6 @@ class Driver : public SimObject
     {
         return _recoveryUs;
     }
-    /** Kicked skbs not yet completed by the device. */
-    std::size_t inflightTx() const { return _inflightTx.size(); }
 
     // -- whole-node lifecycle (DESIGN.md §15) ---------------------------
     /**
@@ -275,6 +273,7 @@ class Driver : public SimObject
     DescriptorRing *_watchedRing = nullptr;
     bool _watchdogArmed = false;
     bool _powerDead = false;
+    /** Kicked skbs not yet completed by the device. */
     std::deque<PacketPtr> _inflightTx;
     std::size_t _probeId = 0;
     stats::Scalar _txHangs, _skbsDropped;

@@ -39,8 +39,6 @@ class StandardDriver : public Driver
 
     void send(const PacketPtr &pkt) override;
 
-    bool zeroCopy() const { return _zeroCopy; }
-
   private:
     NicDevice &_nic;
     Llc &_llc;

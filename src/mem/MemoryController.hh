@@ -144,8 +144,6 @@ class MemoryController : public SimObject, public MemTarget
     {
         return _eccUncorrectable.value();
     }
-    std::size_t readQueueSize() const { return _readQ.size(); }
-    std::size_t writeQueueSize() const { return _writeQ.size(); }
     /** Mean read latency across every source, ns. */
     double meanReadLatencyNs() const;
     /** Channel data-bus utilization in [0, 1] since construction. */

@@ -10,10 +10,10 @@ PacketChannel::pump(EventQueue &eq, Tick send_before)
     std::size_t n = 0;
     const ShardFrame *f;
     while ((f = _q.front()) != nullptr && f->sendTick < send_before) {
-        // Materialize the frame as a fresh pooled packet on THIS
-        // (the consuming) thread; the producer's copy dies with the
-        // channel entry. Arrival is >= sendTick + lookahead >= the
-        // consumer's quantum start, so never in its past.
+        // Materialize the frame as a fresh pooled packet; the
+        // channel entry's copy dies with the entry. Arrival is
+        // >= sendTick + lookahead >= the consumer's quantum start,
+        // so never in its past.
         auto p = std::allocate_shared<Packet>(PoolAlloc<Packet>{},
                                               f->pkt);
         NetEndpoint *target = _target;

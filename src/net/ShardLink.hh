@@ -8,10 +8,9 @@
  * into it at send time) and the consuming shard's ShardIngress (the
  * driver pumps it each quantum).
  * Entries are ShardFrames — a full Packet BY VALUE plus its send and
- * arrival ticks — so the sender's pooled PacketPtr never crosses the
- * thread boundary; the consumer materializes a fresh pooled packet on
- * its own thread, preserving the pool confinement contract of
- * DESIGN.md §12.
+ * arrival ticks — so the sender's PacketPtr is never shared between
+ * shards; the consumer materializes a fresh pooled packet from the
+ * copy.
  *
  * The pump's completeness rule keys on SEND ticks, which are monotone
  * per channel by construction (a shard's clock never goes backwards),

@@ -77,7 +77,6 @@ class NvdimmPDevice : public SimObject, public MemTarget
     virtual Tick idealMediaLatency() const = 0;
 
     const SystemConfig &config() const { return _cfg; }
-    MemoryController &hostChannel() { return _host; }
 
   private:
     const SystemConfig &_cfg;

@@ -180,11 +180,9 @@ ParallelSim::runMerge(Tick horizon,
         for (auto &fn : hosts[s]->_atEnd)
             fn();
     }
-    // Teardown in shard order; every shard shares the caller's pools.
-    for (unsigned s = 0; s < _shards; ++s) {
+    // Teardown in shard order.
+    for (unsigned s = 0; s < _shards; ++s)
         hosts[s].reset();
-        _stats[s].pools = threadObjectPoolTotals();
-    }
 }
 
 void
@@ -203,8 +201,6 @@ ParallelSim::runFree(Tick horizon,
                               &errors, &built] {
             std::unique_ptr<ShardHost> host;
             try {
-                // Built on the worker: every pooled object the
-                // builder creates is confined to this thread.
                 host = std::make_unique<ShardHost>(*this, s);
                 build(*host);
                 built.fetch_add(1, std::memory_order_release);
@@ -230,11 +226,7 @@ ParallelSim::runFree(Tick horizon,
                 }
                 for (auto &fn : host->_atEnd)
                     fn();
-                // Destroy the shard's objects HERE, on the thread
-                // that built them, then snapshot this thread's pools:
-                // outstanding counts prove nothing leaked across.
                 host.reset();
-                _stats[s].pools = drainObjectPools();
             } catch (...) {
                 errors[s] = std::current_exception();
                 // Release every waiter so the run unwinds instead of

@@ -3,10 +3,9 @@
  * Pod-sharded conservative parallel discrete-event simulation.
  *
  * One large simulation is partitioned into shards, each owning its
- * own EventQueue, components and (on its worker thread) thread-local
- * object pools. Shards exchange traffic exclusively through SPSC
- * channels (sim/ShardChannel.hh) carrying time-stamped entries by
- * value, and synchronize conservatively on a fixed quantum equal to
+ * own EventQueue and components. Shards exchange traffic exclusively
+ * through SPSC channels (sim/ShardChannel.hh) carrying time-stamped
+ * entries by value, and synchronize conservatively on a fixed quantum equal to
  * the cross-shard lookahead L: anything a shard sends while executing
  * quantum k (ticks [kQ, (k+1)Q)) arrives at or after (k+1)Q, so a
  * shard may execute quantum k as soon as every other shard has
@@ -35,6 +34,7 @@
 #ifndef NETDIMM_SIM_PARALLELSIM_HH
 #define NETDIMM_SIM_PARALLELSIM_HH
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "sim/EventQueue.hh"
-#include "sim/Pool.hh"
 #include "sim/Ticks.hh"
 
 namespace netdimm
@@ -73,10 +72,9 @@ class ParallelSim;
 
 /**
  * One shard's context, handed to the builder callback (on the
- * shard's worker thread in FreeRun mode, so everything the builder
- * allocates lands in that thread's pools). The host owns the shard's
+ * shard's worker thread in FreeRun mode). The host owns the shard's
  * EventQueue and whatever the builder parks with hold(); both are
- * destroyed on the same thread that built them.
+ * destroyed on the thread that built them.
  */
 class ShardHost
 {
@@ -153,9 +151,6 @@ struct ShardRunStats
     std::uint64_t busyNs = 0;
     std::uint64_t pumpNs = 0;
     std::uint64_t waitNs = 0;
-    /** The shard thread's object-pool totals at teardown (FreeRun);
-     *  caller-thread totals in DeterministicMerge. */
-    PoolStats pools{};
 };
 
 class ParallelSim

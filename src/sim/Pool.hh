@@ -12,97 +12,44 @@
  * reference dies, so steady-state packet churn touches the heap only
  * while a pool is still growing to its high-water mark.
  *
- * Pools are THREAD-LOCAL: every thread that allocates gets its own
- * per-type free list, so the alloc/free fast path takes no lock and
- * concurrent sweep cells (src/harness/SweepRunner.hh) never contend
- * or share blocks. The price is a confinement contract: a pooled
- * block must be released on the thread that allocated it — which the
- * sweep runner's cell-isolation rules guarantee, since a cell's
- * packets and requests never outlive the cell.
- *
- * A process-wide registry (mutex on register/unregister only, never
- * on the fast path) tracks every live pool so objectPoolTotals() can
- * aggregate counters across threads; the counters themselves are
- * single-writer relaxed atomics, so cross-thread reads are exact and
- * race-free. drainObjectPools() releases the CALLING thread's cached
- * blocks back to the heap and reports what that thread's pools held
- * — the sweep runner runs it on each worker and aggregates the
- * per-thread totals; a worker thread that exits drains (and
- * unregisters) its pools automatically.
+ * Pools are thread-local: every thread gets its own per-type free
+ * list, so the alloc/free fast path takes no lock and concurrent
+ * sweep cells never contend. A block freed on another thread than
+ * the one that allocated it simply joins the freeing thread's list:
+ * every block comes from global operator new, so any thread may
+ * reuse it or hand it back to the heap. A thread's cached blocks go
+ * back to the heap when the thread exits.
  */
 
 #ifndef NETDIMM_SIM_POOL_HH
 #define NETDIMM_SIM_POOL_HH
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <new>
-#include <thread>
-#include <vector>
 
 namespace netdimm
 {
 
-/** Aggregate counters across a set of object pools. */
-struct PoolStats
-{
-    /** Blocks obtained from the heap (pool growth). */
-    std::uint64_t heapAllocs = 0;
-    /** Blocks served from the free list (recycled). */
-    std::uint64_t reuses = 0;
-    /** Blocks currently out with live objects. */
-    std::uint64_t outstanding = 0;
-    /** Blocks parked on free lists right now. */
-    std::uint64_t cached = 0;
-
-    PoolStats &
-    operator+=(const PoolStats &o)
-    {
-        heapAllocs += o.heapAllocs;
-        reuses += o.reuses;
-        outstanding += o.outstanding;
-        cached += o.cached;
-        return *this;
-    }
-};
-
-/**
- * A single fixed-block-size free list, owned by (and only ever
- * allocated/freed from) the thread that constructed it. Counters are
- * single-writer relaxed atomics: the owner bumps them with plain
- * load/store pairs (no RMW cost) and any thread may read an exact
- * snapshot through the registry.
- */
+/** A single fixed-block-size free list (one per thread and type). */
 class FreeListPool
 {
   public:
     FreeListPool(std::size_t blockSize, std::size_t align)
         : _blockSize(blockSize < sizeof(Node) ? sizeof(Node)
                                               : blockSize),
-          _align(align), _owner(std::this_thread::get_id())
-    {
-        std::lock_guard<std::mutex> g(registryMutex());
-        registry().push_back(this);
-    }
+          _align(align)
+    {}
 
-    // Thread-lifetime singleton: drains its cached blocks and leaves
-    // the registry when its owning thread exits (for the main thread,
-    // at static destruction; the registry and its mutex are
-    // function-local statics constructed earlier, so they are still
-    // alive then).
+    /** Returns every cached block to the heap at thread exit. */
     ~FreeListPool()
     {
-        drain();
-        std::lock_guard<std::mutex> g(registryMutex());
-        auto &pools = registry();
-        for (std::size_t i = 0; i < pools.size(); ++i) {
-            if (pools[i] == this) {
-                pools[i] = pools.back();
-                pools.pop_back();
-                break;
-            }
+        while (_free != nullptr) {
+            Node *n = _free;
+            _free = n->next;
+            if (overAligned())
+                ::operator delete(n, std::align_val_t(_align));
+            else
+                ::operator delete(n);
         }
     }
 
@@ -115,14 +62,9 @@ class FreeListPool
         if (_free != nullptr) {
             Node *n = _free;
             _free = n->next;
-            bump(_reuses, 1);
-            bump(_cached, -1);
-            bump(_outstanding, 1);
             return n;
         }
-        bump(_heapAllocs, 1);
-        bump(_outstanding, 1);
-        if (_align > alignof(std::max_align_t))
+        if (overAligned())
             return ::operator new(_blockSize,
                                   std::align_val_t(_align));
         return ::operator new(_blockSize);
@@ -134,81 +76,6 @@ class FreeListPool
         Node *n = static_cast<Node *>(p);
         n->next = _free;
         _free = n;
-        bump(_cached, 1);
-        bump(_outstanding, -1);
-    }
-
-    /**
-     * Return every cached block to the heap. Owner-thread-only, like
-     * get()/put() (drainObjectPools() enforces this by construction:
-     * it only ever reaches the calling thread's pools).
-     */
-    void
-    drain() noexcept
-    {
-        while (_free != nullptr) {
-            Node *n = _free;
-            _free = n->next;
-            bump(_cached, -1);
-            if (_align > alignof(std::max_align_t))
-                ::operator delete(n, std::align_val_t(_align));
-            else
-                ::operator delete(n);
-        }
-    }
-
-    std::uint64_t
-    heapAllocs() const
-    {
-        return _heapAllocs.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    reuses() const
-    {
-        return _reuses.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    outstanding() const
-    {
-        return _outstanding.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    cached() const
-    {
-        return _cached.load(std::memory_order_relaxed);
-    }
-
-    PoolStats
-    stats() const
-    {
-        PoolStats s;
-        s.heapAllocs = heapAllocs();
-        s.reuses = reuses();
-        s.outstanding = outstanding();
-        s.cached = cached();
-        return s;
-    }
-
-    /** The thread whose allocations this pool serves. */
-    std::thread::id owner() const { return _owner; }
-
-    /**
-     * All pools currently alive in this process, across all threads.
-     * Hold registryMutex() while walking it.
-     */
-    static std::vector<FreeListPool *> &
-    registry()
-    {
-        static std::vector<FreeListPool *> pools;
-        return pools;
-    }
-
-    /** Guards registry() membership, never the alloc fast path. */
-    static std::mutex &
-    registryMutex()
-    {
-        static std::mutex m;
-        return m;
     }
 
   private:
@@ -217,27 +84,11 @@ class FreeListPool
         Node *next;
     };
 
-    /**
-     * Single-writer increment: only the owning thread mutates, so a
-     * relaxed load+store (plain moves on x86) is exact without the
-     * cost of an atomic RMW on the fast path.
-     */
-    static void
-    bump(std::atomic<std::uint64_t> &c, std::int64_t delta) noexcept
-    {
-        c.store(c.load(std::memory_order_relaxed) +
-                    std::uint64_t(delta),
-                std::memory_order_relaxed);
-    }
+    bool overAligned() const { return _align > alignof(std::max_align_t); }
 
     Node *_free = nullptr;
     const std::size_t _blockSize;
     const std::size_t _align;
-    const std::thread::id _owner;
-    std::atomic<std::uint64_t> _heapAllocs{0};
-    std::atomic<std::uint64_t> _reuses{0};
-    std::atomic<std::uint64_t> _outstanding{0};
-    std::atomic<std::uint64_t> _cached{0};
 };
 
 /** The calling thread's pool serving blocks of type @p T. */
@@ -250,60 +101,11 @@ poolFor()
 }
 
 /**
- * Release the calling thread's cached free-list blocks (sim teardown;
- * sweep workers run this via SweepRunner::drainWorkerPools()).
- * @return the calling thread's pool totals at drain time.
- */
-inline PoolStats
-drainObjectPools() noexcept
-{
-    PoolStats s;
-    std::thread::id self = std::this_thread::get_id();
-    std::lock_guard<std::mutex> g(FreeListPool::registryMutex());
-    for (FreeListPool *p : FreeListPool::registry()) {
-        if (p->owner() != self)
-            continue;
-        s += p->stats();
-        p->drain();
-    }
-    return s;
-}
-
-/** Aggregate counters over every pool in the process (all threads). */
-inline PoolStats
-objectPoolTotals() noexcept
-{
-    PoolStats s;
-    std::lock_guard<std::mutex> g(FreeListPool::registryMutex());
-    for (const FreeListPool *p : FreeListPool::registry())
-        s += p->stats();
-    return s;
-}
-
-/** Counters over the calling thread's pools only. */
-inline PoolStats
-threadObjectPoolTotals() noexcept
-{
-    PoolStats s;
-    std::thread::id self = std::this_thread::get_id();
-    std::lock_guard<std::mutex> g(FreeListPool::registryMutex());
-    for (const FreeListPool *p : FreeListPool::registry()) {
-        if (p->owner() == self)
-            s += p->stats();
-    }
-    return s;
-}
-
-/**
  * Stateless allocator over poolFor<T>(). With std::allocate_shared
  * this pools the combined object+control-block allocation; single
- * objects recycle through the free list, array allocations (never
- * used by allocate_shared) fall through to the heap.
- *
- * allocate() and deallocate() both resolve to the CALLING thread's
- * pool, so a block freed off-thread would corrupt two pools'
- * counters — pooled objects are confined to the thread that made
- * them (the sweep runner's cell isolation contract, DESIGN.md §12).
+ * objects recycle through the calling thread's free list, array
+ * allocations (never used by allocate_shared) fall through to the
+ * heap.
  */
 template <typename T>
 struct PoolAlloc

@@ -12,15 +12,12 @@
  * release/acquire pair per entry (the chunk's tail index) plus one
  * per chunk hand-off (the next pointer), never a lock.
  *
- * Unlike the thread-local object pools (sim/Pool.hh), entries cross
- * threads BY VALUE: the producer copies in, the consumer destroys in
- * place after reading. Nothing pooled may travel through a channel —
- * that is what keeps the pool confinement contract intact across
- * shards.
+ * Entries cross threads BY VALUE: the producer copies in, the
+ * consumer destroys in place after reading.
  *
- * Counters are single-writer relaxed atomics (same idiom as
- * FreeListPool): pushes are owned by the producer, pops by the
- * consumer, and any thread may read an exact snapshot.
+ * Counters are single-writer relaxed atomics: pushes are owned by
+ * the producer, pops by the consumer, and any thread may read an
+ * exact snapshot.
  */
 
 #ifndef NETDIMM_SIM_SHARDCHANNEL_HH

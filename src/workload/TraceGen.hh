@@ -144,9 +144,6 @@ class TraceGen
 
     ClusterType cluster() const { return _cluster; }
 
-    /** Mean packet size of this cluster's distribution, bytes. */
-    double meanBytes() const { return _meanBytes; }
-
   private:
     ClusterType _cluster;
     double _offeredGbps;

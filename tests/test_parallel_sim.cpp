@@ -2,8 +2,7 @@
  * @file
  * Tests for the pod-sharded PDES driver (DESIGN.md §16): the SPSC
  * shard channel, the conservative quantum protocol, determinism of
- * the sharded decomposition against the monolithic golden, and pool
- * confinement across shard teardown.
+ * the sharded decomposition against the monolithic golden.
  */
 
 #include <gtest/gtest.h>
@@ -537,58 +536,4 @@ TEST(ParallelSim, AsymmetricLoadStaysDeterministic)
     auto free4 = runOneSided(4, ParallelSim::Mode::FreeRun);
     EXPECT_EQ(det4, golden);
     EXPECT_EQ(free4, golden);
-}
-
-// -- Pool confinement across shard teardown --------------------------
-
-TEST(ParallelSim, ShardPoolsDrainCleanOnTeardown)
-{
-    // Free-run shards churn pooled Packets on their own threads (the
-    // cross-shard copies materialize in the CONSUMER's pool). After
-    // teardown each shard's drained PoolStats must show zero
-    // outstanding objects — pooled objects never crossed a thread —
-    // and the drain totals aggregate like any other PoolStats.
-    setQuiet(true);
-    PodFabricSpec spec = testSpec();
-    ParallelSim sim(4, spec.lookahead(),
-                    ParallelSim::Mode::FreeRun);
-    sim.run(kHorizon, [&spec](ShardHost &host) {
-        struct Ctx
-        {
-            std::unique_ptr<PodFabricShard> fabric;
-            std::vector<std::unique_ptr<TestSender>> nodes;
-            LatencyHistogram hist;
-            std::uint64_t sent = 0, rcvd = 0;
-        };
-        auto ctx = std::make_shared<Ctx>();
-        ctx->fabric =
-            std::make_unique<PodFabricShard>(host, "fab", spec);
-        for (std::uint32_t n = 0; n < spec.totalNodes(); ++n) {
-            if (!ctx->fabric->ownsNode(n))
-                continue;
-            auto node = std::make_unique<TestSender>(
-                host.eventq(), spec, n, kFrames, kGap);
-            node->access = &ctx->fabric->attach(n, node.get());
-            node->hist = &ctx->hist;
-            node->sent = &ctx->sent;
-            node->rcvd = &ctx->rcvd;
-            node->start();
-            ctx->nodes.push_back(std::move(node));
-        }
-        host.hold(std::move(ctx));
-    });
-
-    PoolStats total;
-    for (const ShardRunStats &s : sim.shardStats()) {
-        // Every pooled object a shard allocated went back to its own
-        // thread's pool before the drain.
-        EXPECT_EQ(s.pools.outstanding, 0u);
-        // The drain returned the cached objects to the heap.
-        EXPECT_GT(s.pools.heapAllocs + s.pools.reuses, 0u);
-        total += s.pools;
-    }
-    // Aggregation across shards behaves like the sweep-worker drain:
-    // totals add, and at least the packet traffic shows up.
-    EXPECT_EQ(total.outstanding, 0u);
-    EXPECT_GT(total.heapAllocs, 0u);
 }

@@ -11,8 +11,9 @@
  *  - running the SAME cell twice in one process yields identical
  *    stats (regression for the old process-global packet id counter);
  *  - packet ids are minted per EventQueue, starting at 1;
- *  - drainWorkerPools() reports per-worker pool totals that account
- *    for the whole grid.
+ *  - cellsExecuted() counts every cell of every run(), failed ones
+ *    included;
+ *  - the shared sweep CLI and the perf-gate flags parse strictly.
  */
 
 #include <atomic>
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "PerfGate.hh"
 #include "harness/SweepRunner.hh"
 #include "kernel/Node.hh"
 #include "net/Link.hh"
@@ -136,6 +138,9 @@ TEST(SweepRunner, JobsInvarianceTablesAreByteIdentical)
     // And the table is non-trivial: packets flowed in every cell.
     EXPECT_EQ(std::count(table1.begin(), table1.end(), '\n'), 6);
     EXPECT_NE(table1.find(" 1 "), std::string::npos);
+    // Every cell ran exactly once, however many workers shared it.
+    EXPECT_EQ(seq.cellsExecuted(), 6u);
+    EXPECT_EQ(par.cellsExecuted(), 6u);
 }
 
 TEST(SweepRunner, ThrowingCellReportsGridCoordinates)
@@ -176,6 +181,7 @@ TEST(SweepRunner, ThrowingCellReportsGridCoordinates)
     // The failure did not tear down the sweep: the other six cells
     // all ran to completion.
     EXPECT_EQ(completed.load(), 6);
+    EXPECT_EQ(runner.cellsExecuted(), 8u);
 }
 
 TEST(SweepRunner, SameCellTwiceInProcessIsIdentical)
@@ -207,40 +213,6 @@ TEST(SweepRunner, PacketIdsArePerEventQueue)
     EXPECT_EQ(b1->id, 1u);
     EXPECT_EQ(eq1.packetIdsAllocated(), 2u);
     EXPECT_EQ(eq2.packetIdsAllocated(), 1u);
-}
-
-TEST(SweepRunner, DrainWorkerPoolsReportsPerWorkerTotals)
-{
-    setQuiet(true);
-    SweepRunner runner(2);
-    runner.run(miniGrid());
-
-    std::vector<WorkerPoolStats> per = runner.drainWorkerPools();
-    ASSERT_EQ(per.size(), 2u);
-    EXPECT_EQ(per[0].worker, 0u);
-    EXPECT_EQ(per[1].worker, 1u);
-
-    std::uint64_t cells = 0;
-    PoolStats total;
-    for (const WorkerPoolStats &w : per) {
-        cells += w.cells;
-        total += w.pools;
-    }
-    // Every cell ran on some worker, and the grid allocated pooled
-    // objects on the workers (never on this thread).
-    EXPECT_EQ(cells, 6u);
-    EXPECT_GT(total.heapAllocs + total.reuses, 0u);
-    // Cells confine their pooled objects, so nothing is still out.
-    EXPECT_EQ(total.outstanding, 0u);
-
-    // The drain emptied the workers' free lists: a second rendezvous
-    // reports nothing cached.
-    std::vector<WorkerPoolStats> again = runner.drainWorkerPools();
-    PoolStats after;
-    for (const WorkerPoolStats &w : again)
-        after += w.pools;
-    EXPECT_EQ(after.cached, 0u);
-    EXPECT_EQ(runner.cellsExecuted(), 6u);
 }
 
 TEST(SweepRunner, ParseSweepCli)
@@ -406,4 +378,74 @@ TEST(SweepRunner, ParseSweepCliRejectsUnknownFlags)
 
     // Stray positional arguments are rejected too.
     EXPECT_FALSE(tryParseSweepCli({"12"}, {}, cli, err));
+
+    // The perf-gate flags belong to bench/PerfGate.hh, not to the
+    // shared sweep surface.
+    EXPECT_FALSE(tryParseSweepCli({"--tolerance", "0.1"}, {}, cli, err));
+}
+
+TEST(SweepRunner, ParsePerfGateCli)
+{
+    // The perf-gate flags are peeled off; everything else goes to the
+    // shared sweep parser with the caller's allowlist.
+    bench::PerfGateCli cli;
+    cli.out = "default.json";
+    std::string err;
+    ASSERT_TRUE(bench::tryParsePerfGateCli(
+        {"--short", "--out", "o.json", "--baseline", "b.json",
+         "--tolerance", "0.05", "--jobs", "2", "--det"},
+        {"--det"}, cli, err))
+        << err;
+    EXPECT_EQ(cli.out, "o.json");
+    EXPECT_EQ(cli.baseline, "b.json");
+    EXPECT_DOUBLE_EQ(cli.tolerance, 0.05);
+    EXPECT_TRUE(cli.sweep.shortMode);
+    EXPECT_EQ(cli.sweep.jobs, 2u);
+    ASSERT_EQ(cli.sweep.rest.size(), 1u);
+    EXPECT_EQ(cli.sweep.rest[0], "--det");
+
+    // Defaults: the caller's out path, no baseline, 20% tolerance.
+    bench::PerfGateCli def;
+    def.out = "default.json";
+    ASSERT_TRUE(bench::tryParsePerfGateCli({}, {}, def, err)) << err;
+    EXPECT_EQ(def.out, "default.json");
+    EXPECT_TRUE(def.baseline.empty());
+    EXPECT_DOUBLE_EQ(def.tolerance, 0.20);
+
+    // Zero tolerance is a legal (strictest) gate.
+    ASSERT_TRUE(bench::tryParsePerfGateCli({"--tolerance", "0"}, {},
+                                           def, err))
+        << err;
+    EXPECT_EQ(def.tolerance, 0.0);
+}
+
+TEST(SweepRunner, ParsePerfGateCliRejectsBadValues)
+{
+    bench::PerfGateCli cli;
+    std::string err;
+
+    // A tolerance of 1 or more puts the floor at or below 0x, which
+    // silently disables the gate; negatives, NaN, inf and garbage are
+    // errors too.
+    for (const char *bad : {"7", "1", "1.0", "-0.1", "nan", "inf",
+                            "0.2x", "", "abc"}) {
+        EXPECT_FALSE(bench::tryParsePerfGateCli({"--tolerance", bad},
+                                                {}, cli, err))
+            << bad;
+        EXPECT_NE(err.find("--tolerance"), std::string::npos) << bad;
+    }
+
+    for (const char *flag : {"--out", "--baseline", "--tolerance"}) {
+        EXPECT_FALSE(bench::tryParsePerfGateCli({flag}, {}, cli, err))
+            << flag;
+        EXPECT_NE(err.find("requires a value"), std::string::npos)
+            << flag;
+    }
+
+    // The forwarded remainder keeps the sweep parser's checks.
+    EXPECT_FALSE(bench::tryParsePerfGateCli({"--jobs", "abc"}, {}, cli,
+                                            err));
+    EXPECT_NE(err.find("--jobs"), std::string::npos);
+    EXPECT_FALSE(bench::tryParsePerfGateCli({"--bogus"}, {}, cli, err));
+    EXPECT_NE(err.find("--bogus"), std::string::npos);
 }
