@@ -43,8 +43,7 @@ struct PerfGateCli
  * Testable parser core: peels the perf-gate flags off @p args and
  * forwards the rest, with @p extra_flags, to tryParseSweepCli(). A
  * missing value, or a tolerance that is not a finite number in
- * [0, 1), is an error. @p out keeps its `out` default unless
- * `--out` is given.
+ * [0, 1), is an error. `out` stays empty unless `--out` is given.
  */
 inline bool
 tryParsePerfGateCli(const std::vector<std::string> &args,
@@ -52,7 +51,6 @@ tryParsePerfGateCli(const std::vector<std::string> &args,
                     PerfGateCli &out, std::string &error)
 {
     PerfGateCli cli;
-    cli.out = out.out;
     std::vector<std::string> rest;
     for (std::size_t a = 0; a < args.size(); ++a) {
         const std::string &arg = args[a];
@@ -99,7 +97,6 @@ parsePerfGateCli(int argc, char **argv, const char *default_out,
                  const char *usage)
 {
     PerfGateCli cli;
-    cli.out = default_out;
     std::string error;
     std::vector<std::string> args(argv + 1, argv + argc);
     if (!tryParsePerfGateCli(args, extra_flags, cli, error)) {
@@ -109,6 +106,8 @@ parsePerfGateCli(int argc, char **argv, const char *default_out,
                      argv[0], error.c_str(), argv[0], usage);
         std::exit(2);
     }
+    if (cli.out.empty())
+        cli.out = default_out;
     return cli;
 }
 

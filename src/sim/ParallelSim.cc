@@ -226,7 +226,6 @@ ParallelSim::runFree(Tick horizon,
                 }
                 for (auto &fn : host->_atEnd)
                     fn();
-                host.reset();
             } catch (...) {
                 errors[s] = std::current_exception();
                 // Release every waiter so the run unwinds instead of

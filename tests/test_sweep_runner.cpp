@@ -389,7 +389,6 @@ TEST(SweepRunner, ParsePerfGateCli)
     // The perf-gate flags are peeled off; everything else goes to the
     // shared sweep parser with the caller's allowlist.
     bench::PerfGateCli cli;
-    cli.out = "default.json";
     std::string err;
     ASSERT_TRUE(bench::tryParsePerfGateCli(
         {"--short", "--out", "o.json", "--baseline", "b.json",
@@ -404,11 +403,11 @@ TEST(SweepRunner, ParsePerfGateCli)
     ASSERT_EQ(cli.sweep.rest.size(), 1u);
     EXPECT_EQ(cli.sweep.rest[0], "--det");
 
-    // Defaults: the caller's out path, no baseline, 20% tolerance.
+    // Defaults: no out path (the bench supplies its own), no
+    // baseline, 20% tolerance.
     bench::PerfGateCli def;
-    def.out = "default.json";
     ASSERT_TRUE(bench::tryParsePerfGateCli({}, {}, def, err)) << err;
-    EXPECT_EQ(def.out, "default.json");
+    EXPECT_TRUE(def.out.empty());
     EXPECT_TRUE(def.baseline.empty());
     EXPECT_DOUBLE_EQ(def.tolerance, 0.20);
 
