@@ -18,9 +18,6 @@
  *  - goodput proportionality: a crashy cell's goodput stays within a
  *    modeled bound of its zero-crash baseline, degrading with the
  *    measured dead-capacity fraction rather than collapsing;
- *  - cluster-inert golden: the single-node zero-crash R=1 cell with
- *    cluster bookkeeping enabled reproduces the plain serving_kv
- *    NetDIMM-host cell digest byte-for-byte;
  *  - R=1 negative control: without replicas, crashes provably lose
  *    acknowledged writes (the audit must report them);
  *  - handler placement: a crashy cluster on the on-DIMM handler
@@ -59,12 +56,10 @@ clusterParams(const Spec &s, bool short_mode)
     p.deadline = usToTicks(120);
     p.retryTimeout = usToTicks(15); // > healthy p99, << deadline
     p.maxRetries = 4;
-    p.cluster.enabled = true;
     p.cluster.nodes = 4;
     p.cluster.replication = s.replication;
     p.cluster.crashRatePerSec = s.crashRate;
     p.cluster.restartDelay = s.restartDelay;
-    p.cluster.suspectTicks = usToTicks(60);
     return p;
 }
 
@@ -243,44 +238,6 @@ main(int argc, char **argv)
         }
     }
 
-    // -- golden: inert cluster knobs == plain serving_kv cell ----------
-    // Exactly the serving_kv NetDIMM-host 1 MQPS cell; the cluster
-    // copy turns on every new code path's *configuration* (shard map,
-    // acked-write ledger, version stamps) at N=1/R=1/crash=0 where
-    // each must be structurally inert.
-    {
-        ServingParams plain;
-        plain.placement = ServingPlacement::NetDimmHost;
-        plain.qps = 1e6;
-        plain.requests = short_mode ? 1200 : 4000;
-        plain.warmup = short_mode ? 150 : 400;
-        ServingParams inert = plain;
-        inert.cluster.enabled = true; // nodes=1, R=1, crash=0
-
-        std::vector<SweepCell<ServingResult>> pair;
-        pair.push_back({"golden plain", [&base, plain] {
-                            return runServing(base, plain);
-                        }});
-        pair.push_back({"golden cluster-inert", [&base, inert] {
-                            return runServing(base, inert);
-                        }});
-        std::vector<ServingResult> g = runner.run(pair);
-        bool same = g[0].rtt.digest() == g[1].rtt.digest() &&
-                    g[0].sent == g[1].sent &&
-                    g[0].completed == g[1].completed &&
-                    g[0].goodRpcs == g[1].goodRpcs &&
-                    g[0].hostServed == g[1].hostServed;
-        std::printf("\ncluster-inert golden (N=1/R=1/crash=0 == "
-                    "plain serving_kv cell): %s\n",
-                    same ? "ok" : "MISMATCH");
-        if (!same) {
-            std::printf("  plain:  %s\n  inert:  %s\n",
-                        g[0].rtt.digest().c_str(),
-                        g[1].rtt.digest().c_str());
-            ++failures;
-        }
-    }
-
     // -- R=1 negative control + handler placement under crashes --------
     {
         Spec loss{short_mode ? 1.2e4 : 8e3, 1, usToTicks(150)};
@@ -299,7 +256,7 @@ main(int argc, char **argv)
         std::vector<ServingResult> e = runner.run(extra);
 
         bool lost = e[0].crashes > 0 && e[0].lostAckedWrites > 0;
-        std::printf("R=1 negative control (crashes lose acked "
+        std::printf("\nR=1 negative control (crashes lose acked "
                     "writes: %llu crashes, %llu lost): %s\n",
                     (unsigned long long)e[0].crashes,
                     (unsigned long long)e[0].lostAckedWrites,

@@ -1,8 +1,10 @@
 #include "harness/SweepRunner.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "sim/Logging.hh"
 
@@ -133,8 +135,13 @@ parsePositive(const std::vector<std::string> &args, std::size_t &a,
     }
     const std::string &v = args[++a];
     char *end = nullptr;
+    errno = 0;
     long n = std::strtol(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || n < 1) {
+    // A count that does not fit in unsigned is rejected, never
+    // truncated: "4294967297" must not quietly mean 1.
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+        n < 1 ||
+        (unsigned long)n > std::numeric_limits<unsigned>::max()) {
         error = flag + " must be a positive integer (got '" + v + "')";
         return false;
     }

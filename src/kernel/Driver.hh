@@ -83,7 +83,6 @@ class Driver : public SimObject
         for (RxContext &ctx : _rxCtx)
             ctx.pending.clear();
         _powerDead = true;
-        eventq().heartbeat(_probeId);
     }
 
     /** Lift the power-fail RX blackout (restart path, after
@@ -117,7 +116,6 @@ class Driver : public SimObject
         std::size_t c = std::size_t(pkt->flowId) % _rxCtx.size();
         RxContext &ctx = _rxCtx[c];
         ctx.pending.emplace_back(pkt, visible);
-        eventq().heartbeat(_probeId);
         if (!ctx.busy)
             startNextRx(c);
     }
@@ -223,7 +221,6 @@ class Driver : public SimObject
     trackTx(const PacketPtr &pkt)
     {
         _inflightTx.push_back(pkt);
-        eventq().heartbeat(_probeId);
         armWatchdog();
     }
 
@@ -235,7 +232,6 @@ class Driver : public SimObject
                             pkt);
         if (it != _inflightTx.end())
             _inflightTx.erase(it);
-        eventq().heartbeat(_probeId);
     }
 
     /**

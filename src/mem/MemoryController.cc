@@ -318,7 +318,6 @@ MemoryController::service()
     while ((_handlerQueued == 0 || _busReady <= curTick() + burst) &&
            pickBeat(beat))
         issueBeat(beat);
-    eventq().heartbeat(_probeId);
 
     if (_readQ.empty() && _writeQ.empty())
         return;

@@ -246,9 +246,8 @@ EventQueue::registerHealthProbe(std::string name,
                                 std::function<std::uint64_t()>
                                     outstanding)
 {
-    _probes.push_back(HealthProbe{std::move(name),
-                                  std::move(outstanding), _curTick,
-                                  true});
+    _probes.push_back(
+        HealthProbe{std::move(name), std::move(outstanding), true});
     return _probes.size() - 1;
 }
 
@@ -278,10 +277,9 @@ EventQueue::checkHealth()
         return true;
     ++_deadlocks;
     warn("event queue drained at tick %llu with %llu outstanding work "
-         "item(s) (first stuck component: %s, last heartbeat %llu): "
-         "deadlock",
+         "item(s) (first stuck component: %s): deadlock",
          (unsigned long long)_curTick, (unsigned long long)total,
-         first->name.c_str(), (unsigned long long)first->lastBeat);
+         first->name.c_str());
     return false;
 }
 

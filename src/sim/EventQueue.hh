@@ -239,7 +239,7 @@ class EventQueue
     /**
      * Register a liveness probe. @p outstanding reports work items
      * the component holds that still need events to complete.
-     * @return a probe id for heartbeat()/unregisterHealthProbe().
+     * @return a probe id for unregisterHealthProbe().
      */
     std::size_t registerHealthProbe(std::string name,
                                     std::function<std::uint64_t()>
@@ -247,29 +247,6 @@ class EventQueue
 
     /** Deactivate a probe (owner is being destroyed). */
     void unregisterHealthProbe(std::size_t id);
-
-    /**
-     * Record that the probed component made forward progress.
-     * Ignored for out-of-range or unregistered probe ids.
-     */
-    void
-    heartbeat(std::size_t id)
-    {
-        if (id < _probes.size() && _probes[id].active)
-            _probes[id].lastBeat = _curTick;
-    }
-
-    /**
-     * Last heartbeat tick of probe @p id (0 if never beaten, out of
-     * range, or unregistered).
-     */
-    Tick
-    lastHeartbeat(std::size_t id) const
-    {
-        return id < _probes.size() && _probes[id].active
-                   ? _probes[id].lastBeat
-                   : 0;
-    }
 
     /**
      * Evaluate all probes now. Counts (and warns about) a deadlock
@@ -337,7 +314,6 @@ class EventQueue
     {
         std::string name;
         std::function<std::uint64_t()> outstanding;
-        Tick lastBeat = 0;
         bool active = false;
     };
 

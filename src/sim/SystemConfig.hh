@@ -558,8 +558,6 @@ struct SystemConfig
     NicModelConfig nicModel{};
     SoftwareConfig sw{};
     NicKind nic = NicKind::Discrete;
-    /** Number of NetDIMM devices installed (Sec. 4.2.1: NETi zones). */
-    std::uint32_t numNetDimms = 1;
     /** Fault injection + recovery model. */
     FaultModelConfig faults{};
     /** RNG seed for this node's stochastic components; also the

@@ -74,7 +74,7 @@ constexpr std::uint32_t mlcStreamPages = 1024;
  *  (drawn from a named FaultDomain stream, so the schedule is a pure
  *  function of the config seed). */
 constexpr double backoffJitter = 0.1;
-// Cluster mode.
+// Cluster routing, replication and recovery.
 /** Logical KV key space; keys are drawn uniformly from [1, N]. */
 constexpr std::uint64_t clusterKeyCount = 2048;
 /** Virtual points per node on the consistent-hash ring. */
@@ -83,19 +83,19 @@ constexpr std::uint32_t ringPointsPerNode = 48;
 constexpr std::uint32_t syncFrameEntries = 5;
 /** Coordinator retransmit period for unacked replica writes. */
 constexpr Tick replRetryPeriod = usToTicks(50);
+/** How long the client avoids a node after a timeout on it. */
+constexpr Tick suspectTicks = usToTicks(60);
 
 /**
  * One serving cell: client, server node(s), topology, workload state.
  *
- * The single-server path and the cluster path are ONE implementation.
- * Every cluster feature is structurally inert when the cluster knobs
- * sit at nodes=1 / replication=1 / crashRatePerSec=0: the topology is
- * the same direct link, replication fan-out degenerates to an empty
- * backup set (the reply goes out in the legacy event order), routing
- * and version bookkeeping are pure computation, and no event or
- * shared-stream RNG draw is added — which is what lets the
- * serving_failover golden cell reproduce the serving_kv digest
- * byte-for-byte.
+ * The single server is the one-node cluster. At nodes=1 /
+ * replication=1 / crashRatePerSec=0 the topology is a direct link,
+ * the backup set is empty (the reply goes out as soon as the host
+ * finishes), routing and version bookkeeping are pure computation,
+ * and the only RNG stream they draw from (kvKeys) feeds nothing else,
+ * so the event order and every digest are those of a plain
+ * client-server harness.
  */
 class ServingSim
 {
@@ -293,17 +293,14 @@ class ServingSim
                 return;
             }
             std::uint64_t ver = 0;
-            if (sim.cl.enabled) {
-                if (req->rpcOp == RpcOp::Put) {
-                    installMax(req->rpcKvKey, req->rpcVersion);
-                    ver = req->rpcVersion;
-                    if (sim.cl.replication >= 2 &&
-                        startReplication(req))
-                        return; // the last ReplAck sends the reply
-                } else {
-                    auto it = store.find(req->rpcKvKey);
-                    ver = it == store.end() ? 0 : it->second;
-                }
+            if (req->rpcOp == RpcOp::Put) {
+                installMax(req->rpcKvKey, req->rpcVersion);
+                ver = req->rpcVersion;
+                if (sim.cl.replication >= 2 && startReplication(req))
+                    return; // the last ReplAck sends the reply
+            } else {
+                auto it = store.find(req->rpcKvKey);
+                ver = it == store.end() ? 0 : it->second;
             }
             std::uint32_t bytes =
                 req->rpcOp == RpcOp::Get
@@ -597,19 +594,16 @@ class ServingSim
         }
 
         /** Re-sync complete: back into the serve set. On the handler
-         *  placement this is also where the GET match rule returns --
-         *  a resyncing node must not serve stale GETs from its
-         *  wimpy cores. */
+         *  placement this is also where the match rules return -- a
+         *  resyncing node must not serve stale GETs from its wimpy
+         *  cores. */
         void
         rejoin()
         {
             resyncing = false;
             downTicks += sim.eq.curTick() - downStart;
-            if (sim.offload) {
-                HandlerStage *hs = node.netdimm()->handlers();
-                ND_ASSERT(hs);
-                hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-            }
+            if (sim.offload)
+                sim.addKvRules(node);
         }
     };
 
@@ -621,7 +615,7 @@ class ServingSim
         std::uint32_t sends = 0;
         bool get = false;
         bool hedged = false;
-        std::uint64_t kvKey = 0;   ///< 0 outside cluster mode
+        std::uint64_t kvKey = 0;   ///< logical key, 1..clusterKeyCount
         std::uint64_t version = 0; ///< PUT version; retries reuse it
         std::uint32_t rsOffset = 0;
         std::uint32_t target = 1;
@@ -641,12 +635,12 @@ class ServingSim
     void armHedge(std::uint64_t key);
     void onReply(const PacketPtr &pkt, Tick now);
     bool clusterHealthy() const;
+    void addKvRules(Node &n) const;
 
     // -- configuration / fixed geometry ---------------------------------
     ServingParams p;
     ClusterServingParams cl;
     SystemConfig cfg;
-    std::uint32_t nservers;
     bool offload = false;
     std::uint32_t valueStride = 0;
     std::uint32_t slotsPerPage = 0;
@@ -688,7 +682,6 @@ class ServingSim
 ServingSim::ServingSim(const SystemConfig &base,
                        const ServingParams &params)
     : p(params), cl(params.cluster), cfg(base),
-      nservers(cl.enabled ? cl.nodes : 1),
       arrivals(base.seed ^ 0x5E12F1A6ull),
       ops(base.seed ^ 0x0A9B3C5Dull),
       kvKeys(base.seed ^ 0x7C3A1B2Eull),
@@ -696,9 +689,8 @@ ServingSim::ServingSim(const SystemConfig &base,
 {
     ND_ASSERT(p.qps > 0 && p.valueBytes >= 1 &&
               p.valueBytes <= pageBytes);
-    ND_ASSERT(!cl.enabled ||
-              (cl.nodes >= 1 && cl.replication >= 1 &&
-               cl.replication <= cl.nodes));
+    ND_ASSERT(cl.nodes >= 1 && cl.replication >= 1 &&
+              cl.replication <= cl.nodes);
 
     switch (p.placement) {
     case ServingPlacement::Dnic:
@@ -727,7 +719,7 @@ ServingSim::ServingSim(const SystemConfig &base,
     // crashy cell needs the fault framework up. Zero-crash cells
     // leave it alone: a cell compared byte-for-byte against a
     // fault-free golden must not construct extra domains.
-    if (cl.enabled && cl.crashRatePerSec > 0)
+    if (cl.crashRatePerSec > 0)
         cfg.faults.enabled = true;
 
     total = p.requests + p.warmup;
@@ -739,18 +731,17 @@ ServingSim::ServingSim(const SystemConfig &base,
 
     // -- topology -------------------------------------------------------
     client = std::make_unique<Node>(eq, "client", cfg, 0);
-    for (std::uint32_t i = 0; i < nservers; ++i) {
+    for (std::uint32_t i = 0; i < cl.nodes; ++i) {
         std::string name = "server";
-        if (nservers > 1) {
+        if (cl.nodes > 1) {
             name = "s";
             name += std::to_string(i + 1);
         }
         serverNodes.push_back(
             std::make_unique<Node>(eq, name, cfg, i + 1));
     }
-    if (nservers == 1) {
-        // The single-server harness keeps its direct link (and its
-        // exact event order -- no switch hop).
+    if (cl.nodes == 1) {
+        // One server needs no switch: a direct link, no extra hop.
         directLink = std::make_unique<EthLink>(eq, "link", cfg.eth);
         directLink->connect(client->endpoint(),
                             serverNodes[0]->endpoint());
@@ -776,27 +767,19 @@ ServingSim::ServingSim(const SystemConfig &base,
     for (auto &sn : serverNodes) {
         if (!offload)
             break;
-        HandlerStage *hs = sn->netdimm()->handlers();
-        ND_ASSERT(hs);
-        hs->configureKv(/*buckets=*/1u << 14, /*slots=*/1u << 14,
-                        p.valueBytes);
-        hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-        // Cluster PUTs stay on the host path: they carry versions and
-        // replication, which the wimpy cores know nothing about.
-        if (!cl.enabled)
-            hs->table().add(MatchRule::onOp(RpcOp::Put, "kv"));
-    }
-    if (cl.enabled && offload) {
-        // Cold boot replays the device-side KV setup; the GET match
-        // rule waits for rejoin() so a resyncing node cannot serve.
-        for (auto &sn : serverNodes) {
-            Node *n = sn.get();
-            std::uint32_t vb = p.valueBytes;
-            n->setColdBootHook([n, vb] {
-                HandlerStage *hs = n->netdimm()->handlers();
-                hs->configureKv(1u << 14, 1u << 14, vb);
-            });
-        }
+        Node *n = sn.get();
+        std::uint32_t vb = p.valueBytes;
+        auto configure = [n, vb] {
+            HandlerStage *hs = n->netdimm()->handlers();
+            ND_ASSERT(hs);
+            hs->configureKv(/*buckets=*/1u << 14, /*slots=*/1u << 14,
+                            vb);
+        };
+        configure();
+        addKvRules(*n);
+        // Cold boot replays the device-side KV setup; the match rules
+        // wait for rejoin() so a resyncing node cannot serve.
+        n->setColdBootHook(configure);
     }
 
     const std::uint32_t stride =
@@ -806,21 +789,18 @@ ServingSim::ServingSim(const SystemConfig &base,
     slotsPerPage = pageBytes / stride;
     linesPerPage = pageBytes / cachelineBytes;
 
-    if (cl.enabled) {
-        std::vector<std::uint32_t> ids;
-        ids.reserve(nservers);
-        for (auto &sn : serverNodes)
-            ids.push_back(sn->id());
-        shard = std::make_unique<ShardMap>(std::move(ids),
-                                           ringPointsPerNode);
-    }
+    std::vector<std::uint32_t> ids;
+    ids.reserve(cl.nodes);
+    for (auto &sn : serverNodes)
+        ids.push_back(sn->id());
+    shard = std::make_unique<ShardMap>(std::move(ids), ringPointsPerNode);
 
     for (auto &sn : serverNodes)
         ctxs.push_back(std::make_unique<ServerCtx>(*this, *sn));
 
     // -- whole-node crash/restart schedules -----------------------------
-    if (cl.enabled && cl.crashRatePerSec > 0) {
-        for (std::uint32_t i = 0; i < nservers; ++i) {
+    if (cl.crashRatePerSec > 0) {
+        for (std::uint32_t i = 0; i < cl.nodes; ++i) {
             Node *n = serverNodes[i].get();
             FaultDomain &dom =
                 n->faults()->domain(n->name() + ".crash");
@@ -866,13 +846,23 @@ ServingSim::clusterHealthy() const
     return true;
 }
 
+/** Install the handler stage's KV match rules on @p n. A PUT reaches
+ *  the wimpy cores only when it needs no coordinator: a write with
+ *  backups carries a version and a replication fan-out, which stay on
+ *  the host path. */
+void
+ServingSim::addKvRules(Node &n) const
+{
+    HandlerStage *hs = n.netdimm()->handlers();
+    ND_ASSERT(hs);
+    hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+    if (cl.replication == 1)
+        hs->table().add(MatchRule::onOp(RpcOp::Put, "kv"));
+}
+
 void
 ServingSim::routeFlight(Flight &f)
 {
-    if (!cl.enabled) {
-        f.target = 1;
-        return;
-    }
     shard->replicas(f.kvKey, cl.replication, rsScratch);
     Tick now = eq.curTick();
     std::uint32_t n = std::uint32_t(rsScratch.size());
@@ -925,11 +915,8 @@ ServingSim::armTimeout(std::uint64_t key, std::uint32_t send_no)
         // Failure detection IS the timeout: suspect whoever we were
         // waiting on and advance the failover cursor, so the next
         // send lands on a different replica.
-        if (cl.enabled) {
-            suspectUntil[it->second.target] =
-                eq.curTick() + cl.suspectTicks;
-            ++it->second.rsOffset;
-        }
+        suspectUntil[it->second.target] = eq.curTick() + suspectTicks;
+        ++it->second.rsOffset;
         // Deadline-aware retry: resending a request whose deadline
         // already passed only amplifies overload (the retry is shed
         // server-side anyway), so a dead request is abandoned instead
@@ -974,17 +961,12 @@ ServingSim::fire()
         return;
     std::uint64_t key = ++res.sent; // rpcKey = 1-based send index
     bool get = ops.uniformDouble() < p.getFraction;
-    std::uint64_t kvKey = 0;
-    std::uint64_t version = 0;
-    if (cl.enabled) {
-        // Cluster traffic targets a logical key space; versions are
-        // client-assigned and monotone, so replica install-if-newer
-        // resolves every duplicate and reordering. Both draws come
-        // from a stream no other mode consumes.
-        kvKey = kvKeys.uniformInt(1, clusterKeyCount);
-        if (!get)
-            version = ++versionCtr;
-    }
+    // Traffic targets a logical key space; versions are client-assigned
+    // and monotone, so replica install-if-newer resolves every duplicate
+    // and reordering. The key draw comes from a stream nothing else
+    // consumes.
+    std::uint64_t kvKey = kvKeys.uniformInt(1, clusterKeyCount);
+    std::uint64_t version = get ? 0 : ++versionCtr;
     Tick now = eq.curTick();
     Flight f;
     f.firstSend = now;
@@ -1025,7 +1007,10 @@ ServingSim::onReply(const PacketPtr &pkt, Tick now)
         if (it->second.deadline == 0 || now <= it->second.deadline)
             ++res.goodRpcs;
     }
-    if (cl.enabled) {
+    // Only versioned replies touch the ledger. Version 0 is a
+    // handler-served reply (the wimpy cores keep their own device KV,
+    // outside the replicated store) or a GET of a never-written key.
+    if (pkt->rpcVersion > 0) {
         if (!it->second.get) {
             // Acked-write ledger: the durability obligation the
             // end-of-run audit checks against surviving replicas.
@@ -1034,7 +1019,7 @@ ServingSim::onReply(const PacketPtr &pkt, Tick now)
                 a.version = it->second.version;
                 a.at = now;
             }
-        } else if (pkt->rpcVersion > 0) {
+        } else {
             // Read-your-writes staleness: a GET *issued after* a
             // write of this key was acked must not return an older
             // version.
@@ -1135,46 +1120,41 @@ ServingSim::run()
             res.faultsUnrecovered += reg->unrecovered();
             res.ledgerClosed = res.ledgerClosed && reg->ledgerClosed();
         }
+        res.crashes += sn.crashesInjected();
+        res.restarts += sn.restarts();
+        res.resyncBytes += sn.resyncBytes();
     }
+    res.failoverRedirects = client->failoverRedirects();
+    res.staleReads = client->staleReads();
 
-    if (cl.enabled) {
-        for (auto &sn : serverNodes) {
-            res.crashes += sn->crashesInjected();
-            res.restarts += sn->restarts();
-            res.resyncBytes += sn->resyncBytes();
-        }
-        res.failoverRedirects = client->failoverRedirects();
-        res.staleReads = client->staleReads();
+    Tick totalDown = 0;
+    for (auto &c : ctxs) {
+        Tick d = c->downTicks;
+        if (!c->node.alive() || c->resyncing)
+            d += eq.curTick() - c->downStart; // still open
+        totalDown += d;
+    }
+    if (span > 0)
+        res.deadFraction = double(totalDown) /
+                           (double(cl.nodes) * double(span));
 
-        Tick totalDown = 0;
-        for (auto &c : ctxs) {
-            Tick d = c->downTicks;
-            if (!c->node.alive() || c->resyncing)
-                d += eq.curTick() - c->downStart; // still open
-            totalDown += d;
-        }
-        if (span > 0)
-            res.deadFraction = double(totalDown) /
-                               (double(nservers) * double(span));
-
-        // Durability audit: every acknowledged write must still be
-        // held, at its acked version or newer, by at least one member
-        // of its replica set.
-        res.ackedPuts = acked.size();
-        for (const auto &[k, a] : acked) {
-            shard->replicas(k, cl.replication, rsScratch);
-            bool held = false;
-            for (std::uint32_t id : rsScratch) {
-                const auto &st = ctxs[id - 1]->store;
-                auto f = st.find(k);
-                if (f != st.end() && f->second >= a.version) {
-                    held = true;
-                    break;
-                }
+    // Durability audit: every acknowledged write must still be held,
+    // at its acked version or newer, by at least one member of its
+    // replica set.
+    res.ackedPuts = acked.size();
+    for (const auto &[k, a] : acked) {
+        shard->replicas(k, cl.replication, rsScratch);
+        bool held = false;
+        for (std::uint32_t id : rsScratch) {
+            const auto &st = ctxs[id - 1]->store;
+            auto f = st.find(k);
+            if (f != st.end() && f->second >= a.version) {
+                held = true;
+                break;
             }
-            if (!held)
-                ++res.lostAckedWrites;
         }
+        if (!held)
+            ++res.lostAckedWrites;
     }
     return res;
 }

@@ -25,18 +25,19 @@
  * (ticks). The whole cell is deterministic for a given params struct:
  * results merge and print byte-identically at any --jobs.
  *
- * Cluster mode (ServingParams::cluster, DESIGN.md §15) generalizes
- * the cell to N serving nodes behind a switch: keys map to R-way
- * replica sets on a consistent-hash ring, PUTs are acknowledged only
- * after every replica installed them, whole-node crash/restart
- * faults wipe a node's volatile state, clients fail over past dead
- * primaries via their request timeouts, and a restarted node
- * re-syncs its shards from peers before rejoining the serve set.
+ * ServingParams::cluster (DESIGN.md §15) sizes the serving tier; its
+ * defaults are the one-node cell above. With N > 1 the nodes sit
+ * behind a switch: keys map to R-way replica sets on a
+ * consistent-hash ring, PUTs are acknowledged only after every
+ * replica installed them, whole-node crash/restart faults wipe a
+ * node's volatile state, clients fail over past dead primaries via
+ * their request timeouts, and a restarted node re-syncs its shards
+ * from peers before rejoining the serve set.
  *
  * The workload shape every run shares (worker pool, working sets,
  * backoff jitter, cluster key space, ring points, re-sync batching,
- * replica retry period) is not in ServingParams: it is a set of
- * constants at the top of RpcServingLoad.cc.
+ * replica retry period, suspicion window) is not in ServingParams:
+ * it is a set of constants at the top of RpcServingLoad.cc.
  */
 
 #ifndef NETDIMM_WORKLOAD_RPCSERVINGLOAD_HH
@@ -72,27 +73,22 @@ enum class ShedPolicy : std::uint8_t
 const char *shedPolicyName(ShedPolicy s);
 
 /**
- * Replicated-cluster serving mode (DESIGN.md §15): N serving nodes
- * behind a consistent-hash shard map with R-way replication, a
- * whole-node crash/restart fault model, client failover, and
- * resync-before-rejoin for restarted nodes.
- *
- * With enabled=false (default) the workload is the single-server
- * harness, byte-identical to every pre-cluster golden. With
- * enabled=true but nodes=1, replication=1 and crashRatePerSec=0 the
- * cluster machinery is structurally inert: same topology, same event
- * order, same RNG consumption on every shared stream — the serving
- * digest stays byte-identical to the disabled path (asserted by
- * bench/serving_failover's golden cell).
+ * The serving tier (DESIGN.md §15): N serving nodes behind a
+ * consistent-hash shard map with R-way replication, a whole-node
+ * crash/restart fault model, client failover, and resync-before-
+ * rejoin for restarted nodes. The defaults (one node, no replicas,
+ * no crashes) are the plain client-server cell every serving golden
+ * pins.
  */
 struct ClusterServingParams
 {
-    bool enabled = false;
-    /** Serving nodes (ids 1..N behind a switch; 1 keeps the direct
-     *  client-server link of the single-node harness). */
+    /** Serving nodes, ids 1..N. One node is "server" on a direct
+     *  client link; more sit behind a switch as s1..sN. */
     std::uint32_t nodes = 1;
     /** Replica count R per key. A PUT is acknowledged only after all
-     *  R replicas installed it (strict primary-backup). */
+     *  R replicas installed it (strict primary-backup). At R=1 the
+     *  handler placement also serves PUTs on the wimpy cores; with
+     *  backups they stay on the host, which coordinates them. */
     std::uint32_t replication = 1;
     /** Per-node whole-node crash hazard, events per simulated second
      *  (0 = no crashes, no draws). Crash instants come from each
@@ -100,8 +96,6 @@ struct ClusterServingParams
     double crashRatePerSec = 0.0;
     /** Power-fail to cold-boot delay. */
     Tick restartDelay = usToTicks(300);
-    /** How long the client avoids a node after a timeout on it. */
-    Tick suspectTicks = usToTicks(200);
 };
 
 /** One serving cell's knobs. */
@@ -271,7 +265,8 @@ struct ServingResult
     double deadFraction = 0.0;
 };
 
-/** Build a two-node serving cell from @p base and run it. */
+/** Build a serving cell (client plus cluster.nodes servers) from
+ *  @p base and run it. */
 ServingResult runServing(const SystemConfig &base,
                          const ServingParams &p);
 

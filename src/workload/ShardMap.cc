@@ -25,25 +25,17 @@ mix64(std::uint64_t x)
 
 ShardMap::ShardMap(std::vector<std::uint32_t> nodes,
                    std::uint32_t points_per_node)
-    : _nodes(std::move(nodes)), _pointsPerNode(points_per_node)
+    : _nodes(std::move(nodes))
 {
-    ND_ASSERT(_pointsPerNode >= 1);
+    ND_ASSERT(points_per_node >= 1);
     std::sort(_nodes.begin(), _nodes.end());
     _nodes.erase(std::unique(_nodes.begin(), _nodes.end()),
                  _nodes.end());
-    rebuild();
-}
-
-void
-ShardMap::rebuild()
-{
-    _ring.clear();
-    _ring.reserve(std::size_t(_nodes.size()) * _pointsPerNode);
+    _ring.reserve(std::size_t(_nodes.size()) * points_per_node);
     for (std::uint32_t n : _nodes) {
-        for (std::uint32_t v = 0; v < _pointsPerNode; ++v) {
+        for (std::uint32_t v = 0; v < points_per_node; ++v) {
             // Point position is a pure function of (node, vnode
-            // index): a node that leaves and rejoins lands on the
-            // exact same ring points, so its shards come back.
+            // index), never of the rest of the membership.
             std::uint64_t h =
                 mix64((std::uint64_t(n) << 32) | v);
             _ring.push_back({h, n});
@@ -54,39 +46,6 @@ ShardMap::rebuild()
                   return a.hash != b.hash ? a.hash < b.hash
                                           : a.node < b.node;
               });
-}
-
-void
-ShardMap::add(std::uint32_t node)
-{
-    auto it = std::lower_bound(_nodes.begin(), _nodes.end(), node);
-    if (it != _nodes.end() && *it == node)
-        return;
-    _nodes.insert(it, node);
-    rebuild();
-}
-
-void
-ShardMap::remove(std::uint32_t node)
-{
-    auto it = std::lower_bound(_nodes.begin(), _nodes.end(), node);
-    if (it == _nodes.end() || *it != node)
-        return;
-    _nodes.erase(it);
-    rebuild();
-}
-
-std::uint32_t
-ShardMap::primary(std::uint64_t key) const
-{
-    ND_ASSERT(!_ring.empty());
-    std::uint64_t h = mix64(key);
-    auto it = std::lower_bound(
-        _ring.begin(), _ring.end(), h,
-        [](const Point &p, std::uint64_t v) { return p.hash < v; });
-    if (it == _ring.end())
-        it = _ring.begin(); // wrap
-    return it->node;
 }
 
 void
@@ -111,15 +70,6 @@ ShardMap::replicas(std::uint64_t key, std::uint32_t r,
         if (std::find(out.begin(), out.end(), n) == out.end())
             out.push_back(n);
     }
-}
-
-std::vector<std::uint32_t>
-ShardMap::replicas(std::uint64_t key, std::uint32_t r) const
-{
-    std::vector<std::uint32_t> out;
-    out.reserve(r);
-    replicas(key, r, out);
-    return out;
 }
 
 } // namespace netdimm

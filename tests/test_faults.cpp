@@ -197,15 +197,10 @@ TEST(EventQueueHealth, NoDeadlockWhenProbesReportIdle)
 {
     EventQueue eq;
     std::uint64_t outstanding = 1;
-    std::size_t id =
-        eq.registerHealthProbe("worker", [&] { return outstanding; });
-    eq.schedule(100, [&] {
-        outstanding = 0;
-        eq.heartbeat(id);
-    });
+    eq.registerHealthProbe("worker", [&] { return outstanding; });
+    eq.schedule(100, [&] { outstanding = 0; });
     eq.run();
     EXPECT_EQ(eq.deadlocksDetected(), 0u);
-    EXPECT_EQ(eq.lastHeartbeat(id), Tick(100));
 }
 
 TEST(EventQueueHealth, UnregisteredProbeIsIgnored)
@@ -216,20 +211,6 @@ TEST(EventQueueHealth, UnregisteredProbeIsIgnored)
     eq.schedule(10, [] {});
     eq.run();
     EXPECT_EQ(eq.deadlocksDetected(), 0u);
-}
-
-TEST(EventQueueHealth, HeartbeatAfterUnregisterIsIgnored)
-{
-    EventQueue eq;
-    std::size_t id = eq.registerHealthProbe("gone", [] { return 0u; });
-    eq.schedule(50, [&] {
-        eq.unregisterHealthProbe(id);
-        eq.heartbeat(id);       // stale owner still beating: ignored
-        eq.heartbeat(id + 100); // out-of-range id: ignored
-    });
-    eq.run();
-    EXPECT_EQ(eq.lastHeartbeat(id), 0u);
-    EXPECT_EQ(eq.lastHeartbeat(id + 100), 0u);
 }
 
 TEST(EventQueueHealth, TickLimitStopsRunawaySimulation)

@@ -72,7 +72,6 @@ struct DualHost
         setQuiet(true);
         SystemConfig cfg;
         cfg.nic = NicKind::NetDimm;
-        cfg.numNetDimms = 2;
         return cfg;
     }
 };
@@ -120,7 +119,6 @@ TEST(MultiNetDimm, BothPortsServeTrafficConcurrently)
     EventQueue eq;
     DualHost host(eq);
     SystemConfig peer_cfg = DualHost::makeCfg();
-    peer_cfg.numNetDimms = 1;
 
     Node peer0(eq, "peer0", peer_cfg, 10);
     Node peer1(eq, "peer1", peer_cfg, 11);

@@ -1,7 +1,8 @@
 /**
  * @file
  * ShardMap unit tests: deterministic placement, distinct replica
- * sets, bounded remap on membership change, exact restore on rejoin.
+ * sets led by the primary, clamping to membership, and a fair-ish
+ * spread of primaries.
  */
 
 #include <gtest/gtest.h>
@@ -27,25 +28,31 @@ ids(std::uint32_t n)
     return v;
 }
 
+std::vector<std::uint32_t>
+replicasOf(const ShardMap &m, std::uint64_t key, std::uint32_t r)
+{
+    std::vector<std::uint32_t> out;
+    m.replicas(key, r, out);
+    return out;
+}
+
 } // namespace
 
 TEST(ShardMap, DeterministicPlacement)
 {
     ShardMap a(ids(5), 64);
     ShardMap b(ids(5), 64);
-    for (std::uint64_t k = 1; k <= 4096; ++k) {
-        EXPECT_EQ(a.primary(k), b.primary(k));
-        EXPECT_EQ(a.replicas(k, 3), b.replicas(k, 3));
-    }
+    for (std::uint64_t k = 1; k <= 4096; ++k)
+        EXPECT_EQ(replicasOf(a, k, 3), replicasOf(b, k, 3));
 }
 
 TEST(ShardMap, ReplicaSetsAreDistinctAndLedByPrimary)
 {
     ShardMap m(ids(5), 64);
     for (std::uint64_t k = 1; k <= 4096; ++k) {
-        auto rs = m.replicas(k, 3);
+        auto rs = replicasOf(m, k, 3);
         ASSERT_EQ(rs.size(), 3u);
-        EXPECT_EQ(rs[0], m.primary(k));
+        EXPECT_EQ(rs[0], replicasOf(m, k, 1).at(0));
         std::set<std::uint32_t> uniq(rs.begin(), rs.end());
         EXPECT_EQ(uniq.size(), rs.size()) << "dup replica, key " << k;
         for (std::uint32_t id : uniq) {
@@ -58,7 +65,7 @@ TEST(ShardMap, ReplicaSetsAreDistinctAndLedByPrimary)
 TEST(ShardMap, ReplicationClampsToMembership)
 {
     ShardMap m(ids(2), 32);
-    auto rs = m.replicas(7, 5);
+    auto rs = replicasOf(m, 7, 5);
     EXPECT_EQ(rs.size(), 2u);
     EXPECT_NE(rs[0], rs[1]);
 }
@@ -69,7 +76,7 @@ TEST(ShardMap, AllNodesOwnSomeKeys)
     std::map<std::uint32_t, std::uint64_t> owned;
     const std::uint64_t keys = 12000;
     for (std::uint64_t k = 1; k <= keys; ++k)
-        ++owned[m.primary(k)];
+        ++owned[replicasOf(m, k, 1).at(0)];
     ASSERT_EQ(owned.size(), 6u) << "some node owns nothing";
     // Consistent hashing with enough virtual points keeps the split within a
     // loose factor of fair share: no node should be nearly empty or
@@ -80,49 +87,15 @@ TEST(ShardMap, AllNodesOwnSomeKeys)
     }
 }
 
-// The consistent-hashing point: removing one of N nodes remaps only
-// the keys that node owned (~K/N), not the whole space.
-TEST(ShardMap, LeaveRemapsOnlyTheLeaversShare)
-{
-    const std::uint32_t n = 8;
-    const std::uint64_t keys = 16000;
-    ShardMap full(ids(n), 64);
-    ShardMap less(ids(n), 64);
-    less.remove(3);
-
-    std::uint64_t moved = 0;
-    for (std::uint64_t k = 1; k <= keys; ++k) {
-        std::uint32_t before = full.primary(k);
-        std::uint32_t after = less.primary(k);
-        EXPECT_NE(after, 3u);
-        if (before != after) {
-            // Only keys the leaver owned may move.
-            EXPECT_EQ(before, 3u) << "key " << k << " moved away from"
-                                  << " a surviving node";
-            ++moved;
-        }
-    }
-    // ~K/N expected; allow 2x for hash-split unevenness.
-    EXPECT_LE(moved, 2 * keys / n);
-    EXPECT_GT(moved, 0u);
-}
-
-TEST(ShardMap, RejoinRestoresPlacementExactly)
-{
-    ShardMap a(ids(5), 64);
-    ShardMap b(ids(5), 64);
-    b.remove(2);
-    b.add(2);
-    for (std::uint64_t k = 1; k <= 4096; ++k)
-        EXPECT_EQ(a.replicas(k, 2), b.replicas(k, 2));
-}
-
+// Routing reuses one scratch vector across requests: whatever the
+// vector held before, the call must clear it and produce exactly what
+// a fresh vector gets.
 TEST(ShardMap, AllocFreeReplicasMatchesAllocating)
 {
     ShardMap m(ids(5), 48);
-    std::vector<std::uint32_t> out;
+    std::vector<std::uint32_t> out = {99, 98, 97, 96};
     for (std::uint64_t k = 1; k <= 2048; ++k) {
-        m.replicas(k, 3, out);
-        EXPECT_EQ(out, m.replicas(k, 3));
+        m.replicas(k, 1 + std::uint32_t(k % 3), out);
+        EXPECT_EQ(out, replicasOf(m, k, 1 + std::uint32_t(k % 3)));
     }
 }

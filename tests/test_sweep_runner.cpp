@@ -305,6 +305,32 @@ TEST(SweepRunner, ParseSweepCliRejectsBadShards)
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
+TEST(SweepRunner, ParseSweepCliRejectsOutOfRangeCounts)
+{
+    // Parser only: no runner is built, so no thread starts. A count
+    // past unsigned range is an error, not a truncation (4294967297
+    // used to mean 1, and a strtol overflow 4294967295).
+    for (const char *flag : {"--jobs", "--shards"}) {
+        SweepCli cli;
+        std::string err;
+        for (const char *v : {"4294967296", "4294967297",
+                              "99999999999999999999999"}) {
+            EXPECT_FALSE(tryParseSweepCli({flag, v}, {}, cli, err))
+                << flag << " " << v;
+            EXPECT_NE(err.find("positive integer"), std::string::npos)
+                << err;
+            EXPECT_NE(err.find(v), std::string::npos) << err;
+        }
+        // The largest unsigned value still parses exactly.
+        ASSERT_TRUE(
+            tryParseSweepCli({flag, "4294967295"}, {}, cli, err))
+            << err;
+        EXPECT_EQ(std::string(flag) == "--jobs" ? cli.jobs
+                                                : cli.shards,
+                  4294967295u);
+    }
+}
+
 TEST(SweepRunner, ParseSweepCliFidelity)
 {
     // Each spelling lands in cli.fidelity; absence keeps Packet (the
