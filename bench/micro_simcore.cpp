@@ -73,6 +73,43 @@ BM_EventQueueDescheduleChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueDescheduleChurn);
 
+/** Far event that re-arms itself one backlog period later. */
+struct FarRearm
+{
+    EventQueue *eq;
+    Tick period;
+
+    void
+    operator()() const
+    {
+        eq->scheduleRel(period, FarRearm{eq, period});
+    }
+};
+
+void
+BM_EventQueueFarBacklog(benchmark::State &state)
+{
+    // trace-replay's shape: a deep backlog of far-future events (its
+    // pre-scheduled frames) under a churn of near-delay events (the
+    // per-packet pipeline). 4,096 far events re-arm themselves, so
+    // the backlog stays constant while one of them fires about every
+    // iteration.
+    constexpr int backlog = 4096;
+    constexpr Tick step = 100 * tickPerNs;
+    constexpr Tick period = backlog * step;
+    EventQueue eq;
+    for (int i = 0; i < backlog; ++i)
+        eq.schedule(10 * tickPerUs + Tick(i) * step,
+                    FarRearm{&eq, period});
+    for (auto _ : state) {
+        for (int i = 0; i < 64; ++i)
+            eq.scheduleRel(Tick(i + 1) * tickPerNs, [] {});
+        eq.runUntil(eq.curTick() + step);
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_EventQueueFarBacklog);
+
 template <std::size_t Bytes>
 void
 BM_EventQueueCaptureSize(benchmark::State &state)

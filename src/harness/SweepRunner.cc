@@ -16,9 +16,6 @@ SweepRunner::SweepRunner(unsigned jobs)
 {
     if (_jobs == 0)
         _jobs = 1; // hardware_concurrency() may report 0
-    _workers.reserve(_jobs);
-    for (unsigned w = 0; w < _jobs; ++w)
-        _workers.emplace_back([this] { workerMain(); });
 }
 
 SweepRunner::~SweepRunner()
@@ -69,6 +66,13 @@ SweepRunner::runErased(std::size_t n,
 
     {
         std::lock_guard<std::mutex> g(_m);
+        // A worker per queued cell, up to the limit: more would only
+        // sleep on the empty queue. They start before the cells are
+        // queued, so a failed thread start leaves no queued cell
+        // pointing into this frame.
+        _cellsQueued += n;
+        while (_workers.size() < _jobs && _workers.size() < _cellsQueued)
+            _workers.emplace_back([this] { workerMain(); });
         for (std::size_t i = 0; i < n; ++i) {
             _queue.emplace_back([&, i] {
                 std::string what;

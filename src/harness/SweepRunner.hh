@@ -4,12 +4,14 @@
  * grids (fault campaigns, failover flap grids, NIC-comparison
  * sweeps, trace replays across seeds).
  *
- * A SweepRunner owns a fixed-size pool of worker threads. run() takes
- * a vector of cells — each a label plus a factory returning that
- * cell's result struct — executes them on the workers, and returns
- * the results in grid (input) order, so a caller that prints rows
- * after run() emits byte-identical output no matter how many jobs
- * executed the grid.
+ * A SweepRunner owns a pool of up to jobs() worker threads, started
+ * lazily: never more than the cells queued so far, so a large --jobs
+ * on a small grid starts only as many threads as there are cells.
+ * run() takes a vector of cells — each a label plus a factory
+ * returning that cell's result struct — executes them on the
+ * workers, and returns the results in grid (input) order, so a
+ * caller that prints rows after run() emits byte-identical output no
+ * matter how many jobs executed the grid.
  *
  * The cell isolation contract (DESIGN.md §12) makes this sound:
  *
@@ -83,7 +85,7 @@ class SweepCellError : public std::runtime_error
 };
 
 /**
- * Fixed-size thread pool executing sweep cells.
+ * Thread pool of at most jobs() workers executing sweep cells.
  *
  * Cells are claimed in grid order (lowest index first) but finish in
  * any order; results land in a pre-sized vector indexed by cell, so
@@ -102,8 +104,14 @@ class SweepRunner
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
-    /** The fixed worker count. */
+    /** The worker limit. */
     unsigned jobs() const { return _jobs; }
+
+    /**
+     * Worker threads started so far: min(jobs(), cells queued by
+     * all run() calls).
+     */
+    std::size_t threadsStarted() const { return _workers.size(); }
 
     /** Total cells executed (all run() calls, all workers). */
     std::uint64_t cellsExecuted() const { return _cellsExecuted; }
@@ -142,6 +150,8 @@ class SweepRunner
     std::vector<std::thread> _workers;
     /** Cells executed by all run() calls. */
     std::atomic<std::uint64_t> _cellsExecuted{0};
+    /** Cells queued by all run() calls. */
+    std::uint64_t _cellsQueued = 0;
 
     std::mutex _m;
     std::condition_variable _cv;

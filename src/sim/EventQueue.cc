@@ -1,7 +1,5 @@
 #include "sim/EventQueue.hh"
 
-#include <algorithm>
-
 namespace netdimm
 {
 
@@ -9,7 +7,7 @@ void
 EventQueue::growSlab()
 {
     std::uint64_t base = std::uint64_t(_slabs.size()) * slabSize;
-    if (base + slabSize >= noSlot)
+    if (base + slabSize > slotMask + 1)
         panic("event slot pool exhausted (%llu slots)",
               (unsigned long long)base);
     _slabs.push_back(std::make_unique<Slot[]>(slabSize));
@@ -37,51 +35,48 @@ void
 EventQueue::freeSlot(std::uint32_t idx)
 {
     Slot &s = slotRef(idx);
-    s.armed = false;
-    if (++s.gen == 0)
-        s.gen = 1; // generation 0 is reserved for invalidHandle
+    s.key = 0;
     s.nextFree = _freeHead;
     _freeHead = idx;
 }
 
 void
-EventQueue::heapPush(const Entry &e)
+EventQueue::KeyHeap::push(Entry e)
 {
-    std::size_t i = _heap.size();
-    _heap.push_back(e);
-    if (_heap.size() > _peakHeap)
-        _peakHeap = _heap.size();
+    std::size_t i = _v.size();
+    _v.push_back(e);
+    Entry *h = _v.data();
     while (i > 0) {
         std::size_t p = (i - 1) / 4;
-        if (!(_heap[p] > e))
+        if (!(e < h[p]))
             break;
-        _heap[i] = _heap[p];
+        h[i] = h[p];
         i = p;
     }
-    _heap[i] = e;
+    h[i] = e;
 }
 
 void
-EventQueue::heapPop()
+EventQueue::KeyHeap::pop()
 {
-    Entry moved = _heap.back();
-    _heap.pop_back();
-    std::size_t n = _heap.size();
+    Entry moved = _v.back();
+    _v.pop_back();
+    std::size_t n = _v.size();
     if (n == 0)
         return;
-    Entry *h = _heap.data();
+    Entry *h = _v.data();
     std::size_t i = 0;
     std::size_t c;
     // Interior nodes: all four children exist, compare unrolled.
     while ((c = i * 4 + 1) + 3 < n) {
         std::size_t best = c;
-        if (h[best] > h[c + 1])
+        if (h[c + 1] < h[best])
             best = c + 1;
-        if (h[best] > h[c + 2])
+        if (h[c + 2] < h[best])
             best = c + 2;
-        if (h[best] > h[c + 3])
+        if (h[c + 3] < h[best])
             best = c + 3;
-        if (!(moved > h[best])) {
+        if (!(h[best] < moved)) {
             h[i] = moved;
             return;
         }
@@ -92,10 +87,10 @@ EventQueue::heapPop()
     if (c < n) {
         std::size_t best = c;
         for (std::size_t k = c + 1; k < n; ++k) {
-            if (h[best] > h[k])
+            if (h[k] < h[best])
                 best = k;
         }
-        if (moved > h[best]) {
+        if (h[best] < moved) {
             h[i] = h[best];
             i = best;
         }
@@ -106,60 +101,67 @@ EventQueue::heapPop()
 void
 EventQueue::deschedule(std::uint64_t handle)
 {
-    std::uint32_t idx = static_cast<std::uint32_t>(handle);
-    std::uint32_t gen = static_cast<std::uint32_t>(handle >> 32);
-    if (std::size_t(idx) >= _slabs.size() * slabSize)
+    std::uint64_t idx = handle & slotMask;
+    if (handle == invalidHandle || idx >= _slabs.size() * slabSize)
         return;
-    Slot &s = slotRef(idx);
-    if (!s.armed || s.gen != gen)
+    Slot &s = slotRef(std::uint32_t(idx));
+    if (s.key != handle)
         return; // already ran, already cancelled, or slot recycled
     s.cb.reset();
-    freeSlot(idx);
+    freeSlot(std::uint32_t(idx));
     --_livePending;
-    // The heap entry stays behind; its generation no longer matches,
+    // The heap entry stays behind; its slot no longer holds its key,
     // so skipDead() drops it when it surfaces.
 }
 
-void
+inline EventQueue::KeyHeap *
 EventQueue::skipDead()
 {
-    while (!_heap.empty()) {
-        const Entry &top = _heap.front();
-        const Slot &s = slotRef(top.slot);
-        if (s.armed && s.gen == top.gen)
-            return;
-        heapPop();
+    for (;;) {
+        // The earlier of the two tops, live or dead: popping dead
+        // keys only from the global front keeps deadKeysPopped() and
+        // the depth the same as one heap holding every key.
+        KeyHeap *h = &_near;
+        if (_near.empty() || (!_far.empty() && _far.top() < _near.top()))
+            h = &_far;
+        if (h->empty())
+            return nullptr;
+        const Entry &top = h->top();
+        if (slotRef(std::uint32_t(top.key & slotMask)).key == top.key)
+            return h;
+        h->pop();
         ++_deadPopped;
     }
 }
 
-void
-EventQueue::dispatchTop()
+inline void
+EventQueue::dispatchTop(KeyHeap &h)
 {
-    Entry e = _heap.front(); // POD key, no closure copied
-    heapPop();
-    Slot &s = slotRef(e.slot);
+    Entry e = h.top(); // POD key, no closure copied
+    h.pop();
+    std::uint32_t idx = std::uint32_t(e.key & slotMask);
+    Slot &s = slotRef(idx);
     // Invoke in place: disarming first makes a deschedule of this
     // handle during the callback a no-op, and the slot is not on the
     // free list yet, so events the callback schedules cannot reuse it
     // and clobber the running capture. The slot returns to the pool
-    // (generation bump) only after the callback finishes.
-    s.armed = false;
+    // only after the callback finishes.
+    s.key = 0;
     --_livePending;
     _curTick = e.when;
     ++_executed;
     s.cb();
     s.cb.reset();
-    freeSlot(e.slot);
+    freeSlot(idx);
 }
 
 bool
 EventQueue::step()
 {
-    skipDead();
-    if (_heap.empty())
+    KeyHeap *h = skipDead();
+    if (h == nullptr)
         return false;
-    dispatchTop();
+    dispatchTop(*h);
     return true;
 }
 
@@ -185,58 +187,33 @@ EventQueue::runUntil(Tick horizon)
 Tick
 EventQueue::peekNextTick()
 {
-    skipDead();
-    return _heap.empty() ? maxTick : _heap.front().when;
+    KeyHeap *h = skipDead();
+    return h == nullptr ? maxTick : h->top().when;
 }
 
 std::uint64_t
 EventQueue::runLoop(Tick limit, bool health_on_drain)
 {
     std::uint64_t n = 0;
-    bool drained = false;
-    // Fused skip-dead / dispatch loop: one top lookup and one slot
-    // dereference per event (skipDead() + dispatchTop() would each
-    // redo both). Semantics match step() exactly.
-    for (;;) {
-        Slot *s = nullptr;
-        while (!_heap.empty()) {
-            const Entry &top = _heap.front();
-            Slot &cand = slotRef(top.slot);
-            if (cand.armed && cand.gen == top.gen) {
-                s = &cand;
-                break;
-            }
-            heapPop(); // cancelled or stale: drop the dead key
-            ++_deadPopped;
-        }
-        if (s == nullptr) {
-            drained = true;
-            break;
-        }
-        const Entry e = _heap.front();
-        if (_tickLimit != 0 && e.when > _tickLimit) {
+    KeyHeap *h;
+    while ((h = skipDead()) != nullptr) {
+        Tick when = h->top().when;
+        if (_tickLimit != 0 && when > _tickLimit) {
             if (!_tickLimitHit) {
                 _tickLimitHit = true;
                 warn("max-tick watchdog: next event at %llu is past "
                      "the %llu-tick limit; stopping",
-                     (unsigned long long)e.when,
+                     (unsigned long long)when,
                      (unsigned long long)_tickLimit);
             }
             break;
         }
-        if (e.when > limit)
+        if (when > limit)
             break;
-        heapPop();
-        s->armed = false;
-        --_livePending;
-        _curTick = e.when;
-        ++_executed;
-        s->cb();
-        s->cb.reset();
-        freeSlot(e.slot);
+        dispatchTop(*h);
         ++n;
     }
-    if (drained && health_on_drain && !_probes.empty())
+    if (h == nullptr && health_on_drain && !_probes.empty())
         checkHealth();
     return n;
 }

@@ -14,14 +14,29 @@
  *    in fixed inline storage, a too-large capture is a compile error,
  *    so scheduling never touches the heap.
  *  - Callbacks are stored in slab-allocated slots recycled through a
- *    free list. The heap orders small POD keys (tick, prio, seq,
- *    slot, gen) only, so sift operations never move closures, and
- *    dispatch invokes the callback IN its slot (disarmed first, freed
- *    after it returns), never copying the capture anywhere.
- *  - A handle encodes (generation << 32 | slot). deschedule() is an
- *    O(1) generation check + flag write (the heap entry is skipped
- *    lazily when it surfaces); a recycled slot bumps its generation,
- *    so a stale handle can never cancel the slot's next tenant.
+ *    free list. The heaps order 16-byte POD keys {when, key} only,
+ *    with key = prio rank (2 bits) | seq (38 bits) | slot (24 bits),
+ *    so sift operations never move closures, four sibling keys take
+ *    64 bytes, and dispatch invokes the callback IN its slot
+ *    (disarmed first, freed after it returns), never copying the
+ *    capture anywhere.
+ *  - Two 4-ary heaps: an event due less than nearWindow ahead goes to
+ *    the near heap, any other to the far heap, so the short-delay
+ *    churn that dominates dispatch sifts through a shallow heap
+ *    instead of a backlog of far-future keys. Every consumer takes
+ *    the smaller of the two tops. Keys form one strict total order,
+ *    so any split of them between the heaps pops in the same order:
+ *    the window changes speed, never the simulation.
+ *  - The handle is the key itself. A slot stores the key of its
+ *    pending event and 0 once disarmed; a heap entry is live only
+ *    while its slot still holds its key. deschedule() is an O(1) key
+ *    compare + slot free (the entry is dropped lazily when it
+ *    surfaces). seq starts at 1 and never repeats, so no handle is
+ *    invalidHandle and a stale handle can never cancel its slot's
+ *    next tenant.
+ *  - Limits: 2^24 slots (pending events) and 2^38 schedules per
+ *    queue, about 7 hours of one queue at 10M events/s; both panic
+ *    when exceeded.
  */
 
 #ifndef NETDIMM_SIM_EVENTQUEUE_HH
@@ -47,11 +62,11 @@ enum class EventPriority : int
     Maintenance = 0,
     /** Fluid-model solver rounds (src/flow) integrate link backlogs
      *  up to the tick before packet-level consumers sample them. */
-    Fluid = 5,
+    Fluid = 1,
     /** Default priority for most component events. */
-    Default = 10,
+    Default = 2,
     /** Statistic sampling runs after the tick's functional events. */
-    Stats = 20,
+    Stats = 3,
 };
 
 /**
@@ -75,6 +90,9 @@ class EventQueue
 
     /** Never returned by schedule(); deschedule(invalid) is a no-op. */
     static constexpr std::uint64_t invalidHandle = 0;
+
+    /** Events due less than this far ahead go to the near heap. */
+    static constexpr Tick nearWindow = tickPerUs;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -103,21 +121,24 @@ class EventQueue
             panic("scheduling event in the past (%llu < %llu)",
                   (unsigned long long)when,
                   (unsigned long long)_curTick);
+        if (_nextSeq > seqMask)
+            panic("event sequence space exhausted (%llu schedules)",
+                  (unsigned long long)seqMask);
         std::uint32_t idx = allocSlot();
         Slot &s = slotRef(idx);
         if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
             s.cb = std::forward<F>(fn);
         else
             s.cb.emplace(std::forward<F>(fn));
-        s.armed = true;
-        std::uint64_t seq = _nextSeq++;
-        heapPush(Entry{
-            when,
-            (std::uint64_t(static_cast<std::int32_t>(prio)) << 56) |
-                seq,
-            idx, s.gen});
+        std::uint64_t rank = std::uint64_t(static_cast<int>(prio));
+        std::uint64_t key = (rank << (seqBits + slotBits)) |
+                            (_nextSeq++ << slotBits) | idx;
+        s.key = key;
+        (when - _curTick < nearWindow ? _near : _far).push({when, key});
+        if (_near.size() + _far.size() > _peakHeap)
+            _peakHeap = _near.size() + _far.size();
         ++_livePending;
-        return (std::uint64_t(s.gen) << 32) | idx;
+        return key;
     }
 
     /** Schedule @p fn to run @p delta ticks from now. */
@@ -133,8 +154,8 @@ class EventQueue
      * Cancel a previously scheduled event: O(1), frees the slot and
      * destroys the capture immediately. Cancelling an event that
      * already ran (or was already cancelled) is a harmless no-op —
-     * the slot's generation has moved on, so the stale handle cannot
-     * touch whatever event occupies the slot now.
+     * the slot no longer holds the handle's key, so the stale handle
+     * cannot touch whatever event occupies the slot now.
      */
     void deschedule(std::uint64_t handle);
 
@@ -193,7 +214,10 @@ class EventQueue
      */
     std::uint64_t deadKeysPopped() const { return _deadPopped; }
 
-    /** Largest heap size (live plus dead keys) since construction. */
+    /**
+     * Largest number of keys held (near plus far heap, live plus
+     * dead) since construction.
+     */
     std::size_t peakHeapDepth() const { return _peakHeap; }
 
     // -- per-simulation id allocation -------------------------------------
@@ -275,39 +299,60 @@ class EventQueue
     bool tickLimitExceeded() const { return _tickLimitHit; }
 
   private:
+    static constexpr unsigned slotBits = 24;
+    static constexpr unsigned seqBits = 38;
+    static constexpr std::uint64_t slotMask =
+        (std::uint64_t(1) << slotBits) - 1;
+    static constexpr std::uint64_t seqMask =
+        (std::uint64_t(1) << seqBits) - 1;
+    static_assert(static_cast<int>(EventPriority::Stats) < 4,
+                  "the priority rank has 2 bits");
+
     /**
-     * POD heap key. The heap never holds the callback: sift
-     * operations shuffle 24-byte keys, and a dead key (cancelled or
-     * stale generation) is dropped when it reaches the top. Priority
-     * and sequence share one word -- (prio << 56) | seq -- so the
-     * (when, prio, seq) total order costs two compares; 2^56 events
-     * at a billion events per second is two years of wall clock, so
-     * the sequence field cannot overflow into the priority bits.
+     * POD heap entry. The heaps never hold the callback, and a dead
+     * entry (cancelled, or its slot re-let) is dropped when it
+     * reaches the front. key = prio | seq | slot, most significant
+     * first, so the (when, prio, seq) total order costs two compares
+     * and the slot index rides along for free.
      */
     struct Entry
     {
         Tick when;
-        std::uint64_t prioSeq;
-        std::uint32_t slot;
-        std::uint32_t gen;
+        std::uint64_t key;
 
         bool
-        operator>(const Entry &o) const
+        operator<(const Entry &o) const
         {
-            if (when != o.when)
-                return when > o.when;
-            return prioSeq > o.prioSeq;
+            return when < o.when || (when == o.when && key < o.key);
         }
+    };
+
+    /**
+     * 4-ary implicit min-heap of entries. Half the levels of a binary
+     * heap, and four 16-byte children take one cache line's worth of
+     * bytes, which makes the pop-heavy dispatch loop faster than
+     * std::priority_queue.
+     */
+    class KeyHeap
+    {
+      public:
+        bool empty() const { return _v.empty(); }
+        std::size_t size() const { return _v.size(); }
+        const Entry &top() const { return _v.front(); }
+        void push(Entry e);
+        void pop();
+
+      private:
+        std::vector<Entry> _v;
     };
 
     /** One pooled event: the callback plus its recycling metadata. */
     struct Slot
     {
         Callback cb;
-        /** Bumped on every free; 0 is never a live generation. */
-        std::uint32_t gen = 1;
+        /** Key of the pending event; 0 (no entry's key) when idle. */
+        std::uint64_t key = 0;
         std::uint32_t nextFree = 0;
-        bool armed = false;
     };
 
     struct HealthProbe
@@ -320,14 +365,8 @@ class EventQueue
     static constexpr std::uint32_t noSlot = 0xffffffffu;
     static constexpr std::uint32_t slabSize = 256;
 
-    /**
-     * 4-ary implicit min-heap of POD entries. Half the levels of a
-     * binary heap and four children per cache-line pair make the
-     * pop-heavy dispatch loop measurably faster than
-     * std::priority_queue; the comparator is the same strict total
-     * order, so pop order (hence simulation output) is unchanged.
-     */
-    std::vector<Entry> _heap;
+    KeyHeap _near;
+    KeyHeap _far;
     /** Slab storage: stable addresses, grows by whole slabs. */
     std::vector<std::unique_ptr<Slot[]>> _slabs;
     std::uint32_t _freeHead = noSlot;
@@ -335,7 +374,7 @@ class EventQueue
     std::uint64_t _slabAllocs = 0;
 
     Tick _curTick = 0;
-    std::uint64_t _nextSeq = 0;
+    std::uint64_t _nextSeq = 1;
     std::uint64_t _executed = 0;
     std::uint64_t _nextPacketId = 1;
     std::uint64_t _deadPopped = 0;
@@ -356,17 +395,19 @@ class EventQueue
     void freeSlot(std::uint32_t idx);
     void growSlab();
 
-    void heapPush(const Entry &e);
-    void heapPop();
-
-    /** Drop cancelled / stale entries off the top of the heap. */
-    void skipDead();
+    /**
+     * Drop dead entries off the front of the two heaps, in the order
+     * a single heap would pop them.
+     * @return the heap whose top is the earliest live entry, or
+     *         nullptr when no event is pending.
+     */
+    KeyHeap *skipDead();
 
     /** Shared core of run()/runUntil(). */
     std::uint64_t runLoop(Tick limit, bool health_on_drain);
 
-    /** Pop and run the (live) top entry. */
-    void dispatchTop();
+    /** Pop and run the (live) top entry of @p h. */
+    void dispatchTop(KeyHeap &h);
 };
 
 } // namespace netdimm

@@ -1096,6 +1096,7 @@ ServingSim::run()
 
     res.lost = res.sent - res.completed;
     res.simulatedUs = ticksToUs(eq.curTick());
+    res.events = eq.executedEvents();
     for (std::size_t i = 0; i < serverNodes.size(); ++i) {
         Node &sn = *serverNodes[i];
         if (NetDimmDevice *nd = sn.netdimm()) {

@@ -196,6 +196,8 @@ struct ServingResult
     double handlerBusFraction = 0.0;
     /** Wall-clock the cell simulated, microseconds. */
     double simulatedUs = 0.0;
+    /** Events the cell's queue executed. */
+    std::uint64_t events = 0;
     /** Interference probe: mean dependent-load latency, ns. */
     double probeMeanNs = 0.0;
     /** Interference probe: completed accesses. */

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/EventQueue.hh"
@@ -136,12 +139,13 @@ TEST(EventQueue, StaleHandleCannotCancelRecycledSlot)
     EventQueue eq;
     bool first = false, second = false;
     auto h1 = eq.schedule(10, [&] { first = true; });
-    eq.deschedule(h1); // frees the slot, bumps its generation
+    eq.deschedule(h1); // frees the slot
     auto h2 = eq.schedule(20, [&] { second = true; });
     // The free list is LIFO, so the new event reuses the same slot
-    // index under a new generation; the stale handle must not be
-    // able to cancel the slot's new tenant.
-    EXPECT_EQ(std::uint32_t(h1), std::uint32_t(h2));
+    // index (the handle's low 24 bits) under a new sequence number;
+    // the stale handle must not be able to cancel the slot's new
+    // tenant.
+    EXPECT_EQ(h1 & 0xffffffu, h2 & 0xffffffu);
     EXPECT_NE(h1, h2);
     eq.deschedule(h1);
     EXPECT_EQ(eq.pendingEvents(), 1u);
@@ -328,4 +332,167 @@ TEST(EventQueue, HeapStatsCountDeadKeysAndPeakDepth)
     EXPECT_EQ(eq.deadKeysPopped(), 2u);
     EXPECT_EQ(eq.runUntil(250), 8u);
     EXPECT_EQ(eq.deadKeysPopped(), 3u);
+}
+
+namespace
+{
+
+/**
+ * Drives one EventQueue and a std::set reference of the (when, prio,
+ * seq) order it promises with the same random calls: schedule,
+ * deschedule (live and stale handles), step, runUntil and
+ * peekNextTick from outside, and schedule / deschedule from inside
+ * callbacks. Every dispatch must be the reference's front.
+ */
+class QueueVsReference
+{
+  public:
+    explicit QueueVsReference(std::uint64_t seed) : _rng(seed) {}
+
+    void
+    drive(int ops)
+    {
+        for (int i = 0; i < ops && !_diverged; ++i) {
+            std::uint64_t op = _rng() % 100;
+            if (op < 40) {
+                scheduleOne(randomDelay(), randomPrio());
+            } else if (op < 55) {
+                cancelRandom();
+            } else if (op < 70) {
+                bool pending = !_ref.empty();
+                EXPECT_EQ(_eq.step(), pending);
+            } else if (op < 85) {
+                Tick horizon = _eq.curTick() + randomDelay();
+                _eq.runUntil(horizon);
+                EXPECT_EQ(_eq.curTick(), horizon);
+                if (!_ref.empty()) {
+                    EXPECT_GT(std::get<0>(*_ref.begin()), horizon);
+                }
+            } else {
+                EXPECT_EQ(_eq.peekNextTick(),
+                          _ref.empty() ? maxTick
+                                       : std::get<0>(*_ref.begin()));
+            }
+            EXPECT_EQ(_eq.pendingEvents(), _ref.size());
+        }
+        _eq.run();
+        EXPECT_TRUE(_ref.empty());
+        EXPECT_EQ(_eq.executedEvents(), _dispatched);
+    }
+
+    int nearCancels = 0;
+    int farCancels = 0;
+    int staleCancels = 0;
+    int maintenanceFromCallback = 0;
+
+  private:
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+
+    EventQueue _eq;
+    std::set<Key> _ref;
+    /** Per schedule, indexed by seq - 1. */
+    std::vector<Key> _keys;
+    std::vector<std::uint64_t> _handles;
+    std::vector<bool> _near;
+    std::mt19937_64 _rng;
+    std::uint64_t _dispatched = 0;
+    bool _diverged = false;
+
+    Tick
+    randomDelay()
+    {
+        constexpr Tick w = EventQueue::nearWindow;
+        switch (_rng() % 6) {
+          case 0: return 0;
+          case 1: return w - 1;
+          case 2: return w;
+          case 3: return w + 1;
+          case 4: return 1 + _rng() % (w - 1);
+          default: return w + 1 + _rng() % (20 * w);
+        }
+    }
+
+    EventPriority
+    randomPrio()
+    {
+        return static_cast<EventPriority>(_rng() % 4);
+    }
+
+    void
+    scheduleOne(Tick delay, EventPriority prio)
+    {
+        std::uint64_t seq = _keys.size() + 1;
+        Tick when = _eq.curTick() + delay;
+        std::uint64_t h =
+            _eq.schedule(when, [this, seq] { fire(seq); }, prio);
+        EXPECT_NE(h, EventQueue::invalidHandle);
+        Key k{when, static_cast<int>(prio), seq};
+        _keys.push_back(k);
+        _handles.push_back(h);
+        _near.push_back(delay < EventQueue::nearWindow);
+        _ref.insert(k);
+    }
+
+    void
+    cancelRandom()
+    {
+        if (_rng() % 16 == 0) {
+            _eq.deschedule(EventQueue::invalidHandle);
+            return;
+        }
+        if (_keys.empty())
+            return;
+        // Half the picks among the last few schedules, which are
+        // mostly still pending; the rest mostly hit stale handles.
+        std::size_t i = _rng() % _keys.size();
+        if (_rng() % 2 == 0 && _keys.size() > 8)
+            i = _keys.size() - 1 - _rng() % 8;
+        if (_ref.erase(_keys[i]) == 0)
+            ++staleCancels;
+        else if (_near[i])
+            ++nearCancels;
+        else
+            ++farCancels;
+        _eq.deschedule(_handles[i]);
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        if (_diverged)
+            return; // reported once; later dispatches prove nothing
+        _diverged = _ref.empty() || std::get<2>(*_ref.begin()) != seq;
+        ASSERT_FALSE(_diverged) << "dispatch order diverged at seq " << seq;
+        const Key &front = *_ref.begin();
+        EXPECT_EQ(_eq.curTick(), std::get<0>(front));
+        bool is_default = std::get<1>(front) ==
+                          static_cast<int>(EventPriority::Default);
+        _ref.erase(_ref.begin());
+        ++_dispatched;
+        // A zero-delay Maintenance event from a Default callback sorts
+        // before the tick's remaining Default events.
+        if (is_default && _rng() % 4 == 0) {
+            scheduleOne(0, EventPriority::Maintenance);
+            ++maintenanceFromCallback;
+        }
+        if (_rng() % 2 == 0)
+            scheduleOne(randomDelay(), randomPrio());
+        if (_rng() % 8 == 0)
+            cancelRandom();
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, DispatchOrderMatchesReferenceSet)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueVsReference d(seed);
+        d.drive(20000);
+        EXPECT_GT(d.nearCancels, 0);
+        EXPECT_GT(d.farCancels, 0);
+        EXPECT_GT(d.staleCancels, 0);
+        EXPECT_GT(d.maintenanceFromCallback, 0);
+    }
 }

@@ -88,6 +88,16 @@ TEST(RpcServing, DeterministicAcrossRuns)
     EXPECT_EQ(a.handlerBusFraction, b.handlerBusFraction);
 }
 
+TEST(RpcServing, EventCountIsPositiveAndDeterministic)
+{
+    SystemConfig base;
+    ServingParams p = smallCell(ServingPlacement::NetDimmHost);
+    ServingResult a = runServing(base, p);
+    ServingResult b = runServing(base, p);
+    EXPECT_GT(a.events, 0u);
+    EXPECT_EQ(a.events, b.events);
+}
+
 // -- serving tier -------------------------------------------------------
 
 TEST(RpcServingCluster, LedgerRecordsOnlyVersionedAcks)

@@ -13,6 +13,7 @@
  *  - packet ids are minted per EventQueue, starting at 1;
  *  - cellsExecuted() counts every cell of every run(), failed ones
  *    included;
+ *  - workers start lazily, never more than the cells queued so far;
  *  - the shared sweep CLI and the perf-gate flags parse strictly.
  */
 
@@ -141,6 +142,33 @@ TEST(SweepRunner, JobsInvarianceTablesAreByteIdentical)
     // Every cell ran exactly once, however many workers shared it.
     EXPECT_EQ(seq.cellsExecuted(), 6u);
     EXPECT_EQ(par.cellsExecuted(), 6u);
+}
+
+TEST(SweepRunner, StartsNoMoreThreadsThanQueuedCells)
+{
+    SweepRunner runner(64);
+    EXPECT_EQ(runner.jobs(), 64u);
+    EXPECT_EQ(runner.threadsStarted(), 0u);
+
+    auto grid = [](int n) {
+        std::vector<SweepCell<int>> cells;
+        for (int i = 0; i < n; ++i)
+            cells.push_back({"cell", [i] { return i; }});
+        return cells;
+    };
+    EXPECT_EQ(runner.run(grid(3)), (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(runner.threadsStarted(), 3u);
+    // Later runs add workers only as the cells queued so far grow.
+    runner.run(grid(2));
+    EXPECT_EQ(runner.threadsStarted(), 5u);
+    runner.run(std::vector<SweepCell<int>>{});
+    EXPECT_EQ(runner.threadsStarted(), 5u);
+
+    // The limit still holds once the grid outgrows it.
+    SweepRunner two(2);
+    two.run(grid(6));
+    EXPECT_EQ(two.threadsStarted(), 2u);
+    EXPECT_EQ(two.cellsExecuted(), 6u);
 }
 
 TEST(SweepRunner, ThrowingCellReportsGridCoordinates)
