@@ -16,7 +16,7 @@
 
 #include "kernel/Skb.hh"
 #include "net/Packet.hh"
-#include "nic/DescriptorRing.hh"
+#include "nic/NicDevice.hh"
 #include "sim/Random.hh"
 #include "sim/SimObject.hh"
 #include "sim/Stats.hh"
@@ -31,13 +31,26 @@ class Driver : public SimObject
     /** Packet payload became visible to the application at tick. */
     using RxHandler = std::function<void(const PacketPtr &, Tick)>;
 
-    Driver(EventQueue &eq, std::string name, const SystemConfig &cfg)
-        : SimObject(eq, std::move(name)), _cfg(cfg),
+    /**
+     * @param nic the device this driver runs: its RX completions feed
+     *        the per-core RX contexts, its TX completions retire
+     *        in-flight skbs, and its TX ring is what the watchdog
+     *        supervises.
+     */
+    Driver(EventQueue &eq, std::string name, const SystemConfig &cfg,
+           NicDevice &nic)
+        : SimObject(eq, std::move(name)), _cfg(cfg), _nic(nic),
           _rng(cfg.seed ^ 0xD1B54A32D192ED03ull),
           _rxCtx(cfg.cpu.cores)
     {
         _probeId = eq.registerHealthProbe(this->name(), [this] {
             return outstandingWork();
+        });
+        _nic.setRxNotify([this](const PacketPtr &pkt, Tick t) {
+            dispatchRx(pkt, t);
+        });
+        _nic.setTxNotify([this](const PacketPtr &pkt, Tick) {
+            completeTx(pkt);
         });
     }
 
@@ -98,6 +111,7 @@ class Driver : public SimObject
 
   protected:
     const SystemConfig &_cfg;
+    NicDevice &_nic;
     Random _rng;
 
     /**
@@ -213,9 +227,6 @@ class Driver : public SimObject
     // transport retransmits them). The watchdog self-disarms when
     // TX goes idle so a finished simulation still drains naturally.
 
-    /** Name the TX ring the watchdog supervises (call once). */
-    void superviseTxRing(DescriptorRing *ring) { _watchedRing = ring; }
-
     /** Track a kicked skb until the device reports TX completion. */
     void
     trackTx(const PacketPtr &pkt)
@@ -266,7 +277,6 @@ class Driver : public SimObject
     Tick _intrDelivery = 0;
     Tick _adaptiveUntil = 0;
 
-    DescriptorRing *_watchedRing = nullptr;
     bool _watchdogArmed = false;
     bool _powerDead = false;
     /** Kicked skbs not yet completed by the device. */
@@ -288,7 +298,7 @@ class Driver : public SimObject
     void
     armWatchdog()
     {
-        if (_watchdogArmed || _watchedRing == nullptr)
+        if (_watchdogArmed)
             return;
         _watchdogArmed = true;
         scheduleRel(_cfg.faults.watchdogPeriod,
@@ -301,22 +311,22 @@ class Driver : public SimObject
         _watchdogArmed = false;
         // A powered-off node runs no watchdog; the restart path
         // rebuilds the rings itself and TX re-arms on first use.
-        if (_watchedRing == nullptr || _powerDead)
+        if (_powerDead)
             return;
         // TX idle: disarm; the next trackTx() re-arms. This keeps
         // the event queue drainable once traffic stops.
-        if (_watchedRing->empty() && _inflightTx.empty())
+        const DescriptorRing &ring = _nic.txRing();
+        if (ring.empty() && _inflightTx.empty())
             return;
-        if (_watchedRing->stalled(curTick(),
-                                  _cfg.faults.txHangTimeout)) {
+        if (ring.stalled(curTick(), _cfg.faults.txHangTimeout)) {
             _txHangs.inc();
             _recoveryUs.sample(
-                ticksToUs(curTick() - _watchedRing->lastProgress()));
+                ticksToUs(curTick() - ring.lastProgress()));
             warn("%s: TX ring stalled for %0.1f us (head %u, tail "
                  "%u); resetting device",
                  name().c_str(),
-                 ticksToUs(curTick() - _watchedRing->lastProgress()),
-                 _watchedRing->head(), _watchedRing->tail());
+                 ticksToUs(curTick() - ring.lastProgress()),
+                 ring.head(), ring.tail());
             recoverFromTxHang();
         }
         armWatchdog();

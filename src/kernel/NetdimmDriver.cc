@@ -9,18 +9,11 @@ NetdimmDriver::NetdimmDriver(EventQueue &eq, std::string name,
                              CopyEngine &copy, AllocCache &alloc_cache,
                              MemorySystem &mem,
                              std::uint32_t zone_index)
-    : Driver(eq, std::move(name), cfg), _dev(dev), _llc(llc),
+    : Driver(eq, std::move(name), cfg, dev), _dev(dev), _llc(llc),
       _copy(copy), _allocCache(alloc_cache), _mem(mem),
       _zone(netZone(zone_index))
 {
     initRings();
-    _dev.setRxNotify([this](const PacketPtr &pkt, Tick t) {
-        dispatchRx(pkt, t);
-    });
-    _dev.setTxNotify([this](const PacketPtr &pkt, Tick) {
-        completeTx(pkt);
-    });
-    superviseTxRing(&_dev.txRing());
 }
 
 void

@@ -30,6 +30,7 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
                                            _cfg.pcie);
         _nic = std::make_unique<DiscreteNic>(
             eq, this->name() + ".dnic", _cfg, *_pcie, *_llc);
+        _dev = _nic.get();
         _driver = std::make_unique<StandardDriver>(
             eq, this->name() + ".driver", _cfg, *_nic, *_llc, *_copy,
             *_alloc, _cfg.nic == NicKind::DiscreteZeroCopy);
@@ -39,6 +40,7 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
       case NicKind::IntegratedZeroCopy: {
         _nic = std::make_unique<IntegratedNic>(
             eq, this->name() + ".inic", _cfg, *_llc, *_mem);
+        _dev = _nic.get();
         _driver = std::make_unique<StandardDriver>(
             eq, this->name() + ".driver", _cfg, *_nic, *_llc, *_copy,
             *_alloc, _cfg.nic == NicKind::IntegratedZeroCopy);
@@ -49,6 +51,7 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
         // into the host address space in single-channel (flex) mode.
         _netdimm = std::make_unique<NetDimmDevice>(
             eq, this->name() + ".netdimm", _cfg, _mem->channel(0));
+        _dev = _netdimm.get();
         Addr base = _mem->attachNetDimm(_netdimm->mappedBytes(), 0,
                                         *_netdimm);
         _netdimm->setRegionBase(base);
@@ -98,21 +101,10 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
         _appPages.push_back(_alloc->allocPages(MemZone::Normal, 1));
 }
 
-NetEndpoint *
-Node::endpoint()
-{
-    if (_netdimm)
-        return _netdimm.get();
-    return _nic.get();
-}
-
 void
 Node::setWire(std::function<void(const PacketPtr &)> wire)
 {
-    if (_netdimm)
-        _netdimm->setWire(std::move(wire));
-    else
-        _nic->setWire(std::move(wire));
+    _dev->setWire(std::move(wire));
 }
 
 void
@@ -173,10 +165,7 @@ Node::crash()
     if (_wire)
         _wire->setLinkState(false);
     _driver->powerFail();
-    if (_netdimm)
-        _netdimm->powerFail();
-    if (_nic)
-        _nic->powerFail();
+    _dev->powerFail();
 }
 
 void

@@ -5,9 +5,11 @@
  * One Node assembles the memory system (host channels + flex address
  * map), the LLC with DDIO, the copy engine, the page allocator and --
  * depending on SystemConfig::nic -- one of the five evaluated
- * configurations: dNIC, dNIC.zcpy, iNIC, iNIC.zcpy (NicDevice +
- * StandardDriver) or NetDIMM (NetDimmDevice + NetdimmDriver +
- * NET0 zone allocator + allocCache).
+ * configurations: dNIC, dNIC.zcpy, iNIC, iNIC.zcpy (DiscreteNic or
+ * IntegratedNic + StandardDriver) or NetDIMM (NetDimmDevice +
+ * NetdimmDriver + NET0 zone allocator + allocCache). Every kind's
+ * device is a NicDevice, so wiring, crash and the NIC personality's
+ * counters go through endpoint() without asking which kind it is.
  *
  * Applications interact through makeTxPacket()/sendPacket() and the
  * receive handler; co-running workloads use cpuAccess() to load the
@@ -47,8 +49,8 @@ class Node : public SimObject
     std::uint32_t id() const { return _id; }
 
     // -- wiring ---------------------------------------------------------
-    /** The wire-facing endpoint (NIC or NetDIMM nNIC). */
-    NetEndpoint *endpoint();
+    /** The node's NIC: the dNIC/iNIC or the NetDIMM's nNIC. */
+    NicDevice *endpoint() { return _dev; }
     /** Point the NIC's transmit side at a link or fabric. */
     void setWire(std::function<void(const PacketPtr &)> wire);
     /** Convenience: wire this node to one side of @p link. Remembers
@@ -136,7 +138,7 @@ class Node : public SimObject
     Driver &driver() { return *_driver; }
     /** Null unless cfg.nic == NetDimm. */
     NetDimmDevice *netdimm() { return _netdimm.get(); }
-    /** Null for the NetDIMM configuration. */
+    /** Null for the NetDIMM configuration (see endpoint()). */
     NicDevice *nic() { return _nic.get(); }
     /** Null unless a discrete NIC is configured. */
     PcieLink *pcie() { return _pcie.get(); }
@@ -159,6 +161,8 @@ class Node : public SimObject
     std::unique_ptr<PcieLink> _pcie;
     std::unique_ptr<NicDevice> _nic;
     std::unique_ptr<NetDimmDevice> _netdimm;
+    /** _nic or _netdimm, whichever this node has. */
+    NicDevice *_dev = nullptr;
     std::unique_ptr<NetdimmZoneAllocator> _zoneAlloc;
     std::unique_ptr<AllocCache> _allocCache;
     std::unique_ptr<Driver> _driver;

@@ -7,17 +7,10 @@ StandardDriver::StandardDriver(EventQueue &eq, std::string name,
                                const SystemConfig &cfg, NicDevice &nic,
                                Llc &llc, CopyEngine &copy,
                                PageAllocator &alloc, bool zero_copy)
-    : Driver(eq, std::move(name), cfg), _nic(nic), _llc(llc),
-      _copy(copy), _alloc(alloc), _zeroCopy(zero_copy)
+    : Driver(eq, std::move(name), cfg, nic), _llc(llc), _copy(copy),
+      _alloc(alloc), _zeroCopy(zero_copy)
 {
     initRings();
-    _nic.setRxNotify([this](const PacketPtr &pkt, Tick t) {
-        dispatchRx(pkt, t);
-    });
-    _nic.setTxNotify([this](const PacketPtr &pkt, Tick) {
-        completeTx(pkt);
-    });
-    superviseTxRing(&_nic.txRing());
 }
 
 void

@@ -40,7 +40,6 @@ class StandardDriver : public Driver
     void send(const PacketPtr &pkt) override;
 
   private:
-    NicDevice &_nic;
     Llc &_llc;
     CopyEngine &_copy;
     PageAllocator &_alloc;

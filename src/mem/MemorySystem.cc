@@ -84,7 +84,7 @@ MemorySystem::access(const MemRequestPtr &req)
                                   _map.netDimmBase(r.netDimmIndex) +
                                       _map.netDimmSize(r.netDimmIndex));
         }
-        Addr stripe = 256;
+        Addr stripe = HostAddressMap::stripeBytes;
         return std::min<Addr>(end, (cursor / stripe + 1) * stripe);
     };
     std::uint32_t nparts = 0;

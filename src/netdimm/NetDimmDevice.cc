@@ -20,23 +20,19 @@ NetDimmDevice::NetDimmDevice(EventQueue &eq, std::string name,
                              const SystemConfig &cfg,
                              MemoryController &host_channel)
     : NvdimmPDevice(eq, std::move(name), cfg, host_channel),
-      _ncache(cfg.netdimm, cfg.seed ^ 0x9E3779B9u)
+      NicDevice(eq, cfg), _ncache(cfg.netdimm, cfg.seed ^ 0x9E3779B9u)
 {
     _localMc = std::make_unique<MemoryController>(
         eq, this->name() + ".nmc", cfg.dram, localGeometry(cfg),
         cfg.memCtrl);
     _rowClone = std::make_unique<RowCloneEngine>(
         eq, this->name() + ".rowclone", *_localMc, cfg.netdimm.rowClone);
-    _txRing.init(0, cfg.nicModel.ringEntries);
-    _rxRing.init(0, cfg.nicModel.ringEntries);
     if (cfg.handler.enabled) {
         _handlers = std::make_unique<HandlerStage>(
             eq, this->name() + ".handlers", cfg, *_localMc,
             localBytes());
-        _handlers->setTx([this](const PacketPtr &resp) {
-            ND_ASSERT(_wire);
-            _wire(resp);
-        });
+        _handlers->setTx(
+            [this](const PacketPtr &resp) { wireOut(resp); });
         _handlers->setHostRx(
             [this](const PacketPtr &pkt) { hostDeliver(pkt); });
     }
@@ -184,27 +180,8 @@ NetDimmDevice::mediaAccess(const MemRequestPtr &req,
 void
 NetDimmDevice::transmit(const PacketPtr &pkt)
 {
-    // Per-kick fault rolls: the device can wedge (descriptors
-    // accumulate until the driver watchdog resets it) or its DMA
-    // engine can drop this one transaction (descriptor completes
-    // with an error status; the transport retransmits).
-    if (_hung || _powerDead)
+    if (faultTxCheck(pkt))
         return;
-    if (_faults) {
-        if (_faults->inject(config().faults.deviceHangProb)) {
-            forceHang();
-            return;
-        }
-        if (_faults->inject(config().faults.dmaDropProb)) {
-            _txDmaDrops.inc();
-            if (!_txRing.empty())
-                _txRing.pop(curTick());
-            if (_txNotify)
-                _txNotify(pkt, curTick());
-            _faults->noteRecovered();
-            return;
-        }
-    }
 
     Tick t0 = curTick();
     Addr desc_local = local(_txRing.descAddr(_txRing.tail()));
@@ -230,26 +207,15 @@ NetDimmDevice::transmit(const PacketPtr &pkt)
                     // it at the descriptor level; the transport's RTO
                     // resends from the (intact) application buffer.
                     _txPoisonDrops.inc();
-                    if (!_txRing.empty())
-                        _txRing.pop(curTick());
-                    if (_txNotify)
-                        _txNotify(pkt, curTick());
+                    retireTx(pkt);
                     if (FaultDomain *d = _localMc->faultDomain())
                         d->noteRecovered();
                     return;
                 }
                 Tick pipe = config().nicModel.pipelineLatency;
                 pkt->lat.add(LatComp::TxDma, (t2 + pipe) - t0);
-                _txFrames.inc();
-                eventq().schedule(t2 + pipe, [this, pkt] {
-                    ND_ASSERT(_wire);
-                    // TX descriptor cleanup after transmission.
-                    if (!_txRing.empty())
-                        _txRing.pop(curTick());
-                    _wire(pkt);
-                    if (_txNotify)
-                        _txNotify(pkt, curTick());
-                });
+                eventq().schedule(t2 + pipe,
+                                  [this, pkt] { sendToWire(pkt); });
             };
             _localMc->access(data_req);
         });
@@ -259,48 +225,17 @@ NetDimmDevice::transmit(const PacketPtr &pkt)
 }
 
 void
-NetDimmDevice::reset()
-{
-    // A reset that clears an injected hang closes that fault's
-    // ledger entry.
-    if (_hung && _faults)
-        _faults->noteRecovered();
-    _hung = false;
-    _powerDead = false;
-    _resets.inc();
-    _txRing.init(_txRing.base(), _txRing.entries());
-    _rxRing.init(_rxRing.base(), _rxRing.entries());
-}
-
-void
 NetDimmDevice::powerFail()
 {
-    _powerDead = true;
+    NicDevice::powerFail();
     _ncache.wipe();
     if (_handlers)
         _handlers->powerCycle();
 }
 
 void
-NetDimmDevice::postRxBuffer(Addr buf)
+NetDimmDevice::rxPath(const PacketPtr &pkt)
 {
-    if (!_rxRing.full())
-        _rxRing.push(buf, curTick());
-}
-
-void
-NetDimmDevice::deliver(const PacketPtr &pkt)
-{
-    // nNIC MAC drops corrupted frames at the FCS check.
-    if (pkt->corrupted) {
-        _rxDrops.inc();
-        return;
-    }
-    // A hung (or powered-off) device moves no frames either way.
-    if (_hung || _powerDead) {
-        _rxDrops.inc();
-        return;
-    }
     // The handler stage classifies at line rate in the nNIC parser;
     // a matched frame with a free run-queue slot never touches the
     // host RX ring. Overflow and non-matching frames fall through.
@@ -313,7 +248,7 @@ void
 NetDimmDevice::hostDeliver(const PacketPtr &pkt)
 {
     if (_rxRing.empty()) {
-        _rxDrops.inc();
+        dropRx(pkt);
         return;
     }
     Tick t0 = curTick();
@@ -345,9 +280,7 @@ NetDimmDevice::hostDeliver(const PacketPtr &pkt)
                     [this, pkt, t0, desc_local](Tick t3) {
                         _ncache.insert(desc_local, true);
                         pkt->lat.add(LatComp::RxDma, t3 - t0);
-                        _rxFrames.inc();
-                        if (_rxNotify)
-                            _rxNotify(pkt, t3);
+                        notifyDriverRx(pkt, t3);
                     });
                 _localMc->access(desc_req);
             });

@@ -3,8 +3,10 @@
  * NetDIMM: the buffer device of a DIMM hosting a full NIC (Sec. 4.1,
  * Fig. 6). This class assembles the paper's components:
  *
- *  - nNIC      : the Ethernet MAC; here, the NetEndpoint personality
- *                plus the TX/RX pipelines.
+ *  - nNIC      : a full NIC -- the NicDevice personality every NIC
+ *                kind shares (rings, doorbell, MAC, faults,
+ *                counters); this class adds only its DMA path
+ *                through nMC and nCache.
  *  - nMC       : a MemoryController instance over the DIMM's local
  *                DRAM ranks (Fig. 9 geometry).
  *  - nController: arbitration + DMA functionality + nCache snooping;
@@ -27,24 +29,18 @@
 #ifndef NETDIMM_NETDIMM_NETDIMMDEVICE_HH
 #define NETDIMM_NETDIMM_NETDIMMDEVICE_HH
 
-#include <functional>
-
 #include "handler/HandlerStage.hh"
 #include "mem/RowClone.hh"
-#include "net/Link.hh"
-#include "net/Packet.hh"
 #include "netdimm/NCache.hh"
-#include "nic/DescriptorRing.hh"
+#include "nic/NicDevice.hh"
 #include "nvdimm/NvdimmDevice.hh"
 
 namespace netdimm
 {
 
-class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
+class NetDimmDevice final : public NvdimmPDevice, public NicDevice
 {
   public:
-    using RxNotify = std::function<void(const PacketPtr &, Tick)>;
-    using TxNotify = std::function<void(const PacketPtr &, Tick)>;
     /** Same inline per-clone callback type as RowCloneEngine. */
     using CloneDone = RowCloneEngine::Completion;
 
@@ -80,68 +76,21 @@ class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
     void setRegionBase(Addr base) { _regionBase = base; }
     Addr regionBase() const { return _regionBase; }
 
-    // -- NIC personality ----------------------------------------------
-    void setWire(std::function<void(const PacketPtr &)> wire)
-    {
-        _wire = std::move(wire);
-    }
-    void setRxNotify(RxNotify cb) { _rxNotify = std::move(cb); }
-    /** TX completion (frame left nNIC or was dropped by a fault);
-     *  the driver uses it to retire in-flight skbs. */
-    void setTxNotify(TxNotify cb) { _txNotify = std::move(cb); }
-
+    // -- nNIC ------------------------------------------------------------
     /**
      * The driver's descriptor kick has landed (it flushed size+flags
      * into the TX descriptor); run the hardware TX pipeline: nMC
      * descriptor fetch, local payload DMA, wire.
      */
-    void transmit(const PacketPtr &pkt);
-
-    /** Wire side: frame arrived at nNIC. */
-    void deliver(const PacketPtr &pkt) override;
-
-    /** Driver posts an RX DMA buffer (host-physical, in our region). */
-    void postRxBuffer(Addr buf);
-
-    DescriptorRing &txRing() { return _txRing; }
-    DescriptorRing &rxRing() { return _rxRing; }
-
-    // -- fault injection / recovery -------------------------------------
-    /** Wire this device's fault rolls to @p domain (nullptr: none). */
-    void setFaultDomain(FaultDomain *domain) { _faults = domain; }
-
-    /** True while the buffer device ignores kicks and drops RX. */
-    bool hung() const { return _hung; }
-
-    /** Wedge the device deterministically (tests, campaigns). */
-    void
-    forceHang()
-    {
-        _hung = true;
-        _hangs.inc();
-    }
+    void transmit(const PacketPtr &pkt) override;
 
     /**
-     * Driver-initiated reset: clears the hang and zeroes both ring
-     * indices; the driver reposts RX buffers and drops or requeues
-     * the in-flight TX skbs.
-     */
-    void reset();
-
-    /**
-     * Whole-node power failure: the device stops moving frames, the
+     * Whole-node power failure: on top of the nNIC going dead, the
      * nCache SRAM and the handler stage (queue, cores, match table)
-     * are wiped. Distinct from an injected hang — no fault is booked
-     * here; the node-level crash domain owns the ledger entry. The
-     * cold-boot reset() clears the condition.
+     * are wiped. The cold-boot reset() clears the condition.
      */
-    void powerFail();
-    /** True between powerFail() and the cold-boot reset(). */
-    bool powerDead() const { return _powerDead; }
+    void powerFail() override;
 
-    std::uint64_t hangs() const { return _hangs.value(); }
-    std::uint64_t resets() const { return _resets.value(); }
-    std::uint64_t txDmaDrops() const { return _txDmaDrops.value(); }
     /** TX frames dropped because their payload read was poisoned. */
     std::uint64_t txPoisonDrops() const
     {
@@ -163,9 +112,6 @@ class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
     /** Null unless cfg.handler.enabled. */
     HandlerStage *handlers() { return _handlers.get(); }
 
-    std::uint64_t txFrames() const { return _txFrames.value(); }
-    std::uint64_t rxFrames() const { return _rxFrames.value(); }
-    std::uint64_t rxDrops() const { return _rxDrops.value(); }
     std::uint64_t prefetchesIssued() const { return _prefetches.value(); }
 
   protected:
@@ -173,26 +119,20 @@ class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
                      MemRequest::Completion done) override;
     Tick idealMediaLatency() const override;
 
+    /** Offer the frame to the handler stage, else hostDeliver(). */
+    void rxPath(const PacketPtr &pkt) override;
+
   private:
     std::unique_ptr<MemoryController> _localMc;
     NCache _ncache;
     std::unique_ptr<RowCloneEngine> _rowClone;
     std::unique_ptr<HandlerStage> _handlers;
-    DescriptorRing _txRing;
-    DescriptorRing _rxRing;
     Addr _regionBase = 0;
 
-    std::function<void(const PacketPtr &)> _wire;
-    RxNotify _rxNotify;
-    TxNotify _txNotify;
-    FaultDomain *_faults = nullptr;
-    bool _hung = false;
-    bool _powerDead = false;
     /** Last line the host read; detects sequential payload streams. */
     Addr _lastHostReadLine = ~Addr(0);
 
-    stats::Scalar _txFrames, _rxFrames, _rxDrops, _prefetches;
-    stats::Scalar _hangs, _resets, _txDmaDrops, _txPoisonDrops;
+    stats::Scalar _prefetches, _txPoisonDrops;
 
     /** Host-physical -> DIMM-relative. */
     Addr local(Addr host_phys) const;

@@ -6,11 +6,9 @@ namespace netdimm
 DiscreteNic::DiscreteNic(EventQueue &eq, std::string name,
                          const SystemConfig &cfg, PcieLink &pcie,
                          Llc &llc)
-    : NicDevice(eq, std::move(name), cfg), _pcie(pcie), _llc(llc)
-{
-    _txRing.init(0, cfg.nicModel.ringEntries);
-    _rxRing.init(0, cfg.nicModel.ringEntries);
-}
+    : SimObject(eq, std::move(name)), NicDevice(eq, cfg), _pcie(pcie),
+      _llc(llc)
+{}
 
 void
 DiscreteNic::transmit(const PacketPtr &pkt)

@@ -15,12 +15,13 @@
 
 #include "cache/Llc.hh"
 #include "nic/NicDevice.hh"
+#include "sim/SimObject.hh"
 #include "pcie/PcieLink.hh"
 
 namespace netdimm
 {
 
-class DiscreteNic : public NicDevice
+class DiscreteNic final : public SimObject, public NicDevice
 {
   public:
     DiscreteNic(EventQueue &eq, std::string name,

@@ -6,11 +6,9 @@ namespace netdimm
 IntegratedNic::IntegratedNic(EventQueue &eq, std::string name,
                              const SystemConfig &cfg, Llc &llc,
                              MemTarget &mem)
-    : NicDevice(eq, std::move(name), cfg), _llc(llc), _mem(mem)
-{
-    _txRing.init(0, cfg.nicModel.ringEntries);
-    _rxRing.init(0, cfg.nicModel.ringEntries);
-}
+    : SimObject(eq, std::move(name)), NicDevice(eq, cfg), _llc(llc),
+      _mem(mem)
+{}
 
 void
 IntegratedNic::transmit(const PacketPtr &pkt)

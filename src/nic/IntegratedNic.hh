@@ -17,11 +17,12 @@
 
 #include "cache/Llc.hh"
 #include "nic/NicDevice.hh"
+#include "sim/SimObject.hh"
 
 namespace netdimm
 {
 
-class IntegratedNic : public NicDevice
+class IntegratedNic final : public SimObject, public NicDevice
 {
   public:
     /**

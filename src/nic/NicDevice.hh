@@ -1,13 +1,20 @@
 /**
  * @file
- * Abstract NIC device model.
+ * The NIC personality shared by every NIC kind.
  *
- * A NicDevice owns the hardware side of packet TX/RX: reacting to the
- * driver's doorbell, fetching descriptors and payload via its DMA
- * path, pushing frames onto the wire, and landing received frames in
- * host-visible memory. Concrete subclasses differ in *where* the NIC
- * sits (PCIe endpoint, on-die agent, NetDIMM buffer device) and hence
- * in the cost of every host interaction.
+ * A NicDevice owns the hardware side of packet TX/RX that is the same
+ * wherever the NIC sits: the descriptor rings, the doorbell entry
+ * point (transmit), the MAC's FCS check, the wire and driver
+ * notification hooks, the fault behaviour (hang, DMA drop, power
+ * fail, function reset) and the frame counters. Concrete devices
+ * supply only their DMA path -- the PCIe endpoint (DiscreteNic), the
+ * on-die agent (IntegratedNic) or the NetDIMM buffer device's nMC and
+ * nCache (NetDimmDevice) -- and hence the cost of every host
+ * interaction.
+ *
+ * NicDevice is not a SimObject: each concrete device brings its own
+ * SimObject base (NetDimmDevice's comes with NvdimmPDevice), and this
+ * class keeps the event queue and the configuration it needs.
  */
 
 #ifndef NETDIMM_NIC_NICDEVICE_HH
@@ -19,15 +26,15 @@
 #include "net/Link.hh"
 #include "net/Packet.hh"
 #include "nic/DescriptorRing.hh"
+#include "sim/EventQueue.hh"
 #include "sim/Fault.hh"
-#include "sim/SimObject.hh"
 #include "sim/Stats.hh"
 #include "sim/SystemConfig.hh"
 
 namespace netdimm
 {
 
-class NicDevice : public SimObject, public NetEndpoint
+class NicDevice : public NetEndpoint
 {
   public:
     /**
@@ -35,12 +42,16 @@ class NicDevice : public SimObject, public NetEndpoint
      * became host visible at the given tick.
      */
     using RxNotify = std::function<void(const PacketPtr &, Tick)>;
-    /** Notification that a TX frame left the NIC (ring cleanup). */
+    /** TX completion: the frame left the NIC or a fault dropped it
+     *  (the driver retires its in-flight skb). */
     using TxNotify = std::function<void(const PacketPtr &, Tick)>;
 
-    NicDevice(EventQueue &eq, std::string name, const SystemConfig &cfg)
-        : SimObject(eq, std::move(name)), _cfg(cfg)
-    {}
+    NicDevice(EventQueue &eq, const SystemConfig &cfg)
+        : _cfg(cfg), _eq(eq)
+    {
+        _txRing.init(0, cfg.nicModel.ringEntries);
+        _rxRing.init(0, cfg.nicModel.ringEntries);
+    }
 
     /**
      * The wire attachment: invoked when the NIC starts emitting a
@@ -70,7 +81,7 @@ class NicDevice : public SimObject, public NetEndpoint
     postRxBuffer(Addr buf)
     {
         if (!_rxRing.full())
-            _rxRing.push(buf, curTick());
+            _rxRing.push(buf, _eq.curTick());
     }
 
     /** Wire side: frame arrived (NetEndpoint). */
@@ -117,7 +128,7 @@ class NicDevice : public SimObject, public NetEndpoint
      * both ring indices (descriptors in flight are discarded; the
      * driver reposts RX buffers and requeues or drops TX skbs).
      */
-    virtual void
+    void
     reset()
     {
         // A reset that clears an injected hang closes that fault's
@@ -134,9 +145,10 @@ class NicDevice : public SimObject, public NetEndpoint
     /**
      * Whole-node power failure: stop moving frames until the
      * cold-boot reset(). Unlike forceHang() no fault is booked —
-     * the node-level crash domain owns the ledger entry.
+     * the node-level crash domain owns the ledger entry. A device
+     * with volatile state of its own wipes it here too.
      */
-    void powerFail() { _powerDead = true; }
+    virtual void powerFail() { _powerDead = true; }
     /** True between powerFail() and the cold-boot reset(). */
     bool powerDead() const { return _powerDead; }
 
@@ -153,20 +165,37 @@ class NicDevice : public SimObject, public NetEndpoint
     /** Hardware RX pipeline; ends with notifyDriverRx(). */
     virtual void rxPath(const PacketPtr &pkt) = 0;
 
-    /** Emit the frame onto the attached wire. */
+    /** Emit the frame onto the attached wire and retire its TX
+     *  descriptor ("clean TX buffers after a successful
+     *  transmission"; the driver-side work is folded into its
+     *  per-packet cycles). */
     void
     sendToWire(const PacketPtr &pkt)
     {
-        ND_ASSERT(_wire);
         _txFrames.inc();
+        wireOut(pkt);
+        retireTx(pkt);
+    }
+
+    /** Put a frame on the wire with no TX descriptor behind it and
+     *  no txFrames count (the NetDIMM handler stage's replies). */
+    void
+    wireOut(const PacketPtr &pkt)
+    {
+        ND_ASSERT(_wire);
         _wire(pkt);
-        // TX descriptor cleanup ("clean TX buffers after a
-        // successful transmission"); the driver-side work is folded
-        // into its per-packet cycles.
+    }
+
+    /** Complete the TX descriptor at the ring head, sent or dropped
+     *  with an error status, and tell the driver. */
+    void
+    retireTx(const PacketPtr &pkt)
+    {
+        Tick now = _eq.curTick();
         if (!_txRing.empty())
-            _txRing.pop(curTick());
+            _txRing.pop(now);
         if (_txNotify)
-            _txNotify(pkt, curTick());
+            _txNotify(pkt, now);
     }
 
     /**
@@ -189,10 +218,7 @@ class NicDevice : public SimObject, public NetEndpoint
             }
             if (_faults->inject(_cfg.faults.dmaDropProb)) {
                 _txDmaDrops.inc();
-                if (!_txRing.empty())
-                    _txRing.pop(curTick());
-                if (_txNotify)
-                    _txNotify(pkt, curTick());
+                retireTx(pkt);
                 // The descriptor-level error completion *is* the
                 // recovery: the ring keeps moving and the transport
                 // retransmits the payload.
@@ -218,6 +244,7 @@ class NicDevice : public SimObject, public NetEndpoint
     DescriptorRing _rxRing;
 
   private:
+    EventQueue &_eq;
     std::function<void(const PacketPtr &)> _wire;
     RxNotify _rxNotify;
     TxNotify _txNotify;

@@ -13,26 +13,19 @@ NfHarness::NfHarness(EventQueue &eq, std::string name, Node &node,
                      NfKind kind)
     : SimObject(eq, std::move(name)), _node(node), _kind(kind)
 {
-    auto cb = [this](const PacketPtr &pkt, Tick t) {
+    _node.endpoint()->setRxNotify([this](const PacketPtr &pkt, Tick t) {
         onRxVisible(pkt, t);
-    };
-    if (_node.netdimm())
-        _node.netdimm()->setRxNotify(cb);
-    else
-        _node.nic()->setRxNotify(cb);
+    });
 }
 
 void
 NfHarness::replenish()
 {
-    if (_node.netdimm()) {
-        bool fast = false;
-        _node.netdimm()->postRxBuffer(
-            _node.allocCache()->takeAny(fast));
-    } else {
-        _node.nic()->postRxBuffer(
-            _node.pageAlloc().allocPages(MemZone::Normal, 1));
-    }
+    bool fast = false;
+    Addr buf = _node.netdimm()
+                   ? _node.allocCache()->takeAny(fast)
+                   : _node.pageAlloc().allocPages(MemZone::Normal, 1);
+    _node.endpoint()->postRxBuffer(buf);
 }
 
 void
@@ -64,22 +57,17 @@ NfHarness::forward(const PacketPtr &pkt, Tick t0)
     fwd->txBufAddr = pkt->rxBufAddr;
     fwd->born = curTick();
 
+    NicDevice *dev = _node.endpoint();
     if (_node.netdimm()) {
-        NetDimmDevice *dev = _node.netdimm();
         // Descriptor kick: one posted line write to the device.
         Addr desc = dev->txRing().descAddr(dev->txRing().tail());
         auto req = makeMemRequest(desc, DescriptorRing::descBytes,
                                   true, MemSource::HostCpu, nullptr);
         _node.mem().access(req);
-        if (!dev->txRing().full())
-            dev->txRing().push(fwd->txBufAddr);
-        dev->transmit(fwd);
-    } else {
-        NicDevice *nic = _node.nic();
-        if (!nic->txRing().full())
-            nic->txRing().push(fwd->txBufAddr);
-        nic->transmit(fwd);
     }
+    if (!dev->txRing().full())
+        dev->txRing().push(fwd->txBufAddr);
+    dev->transmit(fwd);
     _forwarded.inc();
     _procNs.sample(ticksToNs(curTick() - t0));
 
@@ -88,15 +76,7 @@ NfHarness::forward(const PacketPtr &pkt, Tick t0)
     // buffer population, which is what lets DDIO overwrite dirty
     // packet lines in place instead of writing them back.
     Addr buf = pkt->rxBufAddr;
-    if (_node.netdimm()) {
-        NetDimmDevice *dev = _node.netdimm();
-        scheduleRel(usToTicks(10),
-                    [dev, buf] { dev->postRxBuffer(buf); });
-    } else {
-        NicDevice *nic = _node.nic();
-        scheduleRel(usToTicks(10),
-                    [nic, buf] { nic->postRxBuffer(buf); });
-    }
+    scheduleRel(usToTicks(10), [dev, buf] { dev->postRxBuffer(buf); });
 }
 
 } // namespace netdimm

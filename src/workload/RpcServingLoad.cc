@@ -732,11 +732,12 @@ ServingSim::ServingSim(const SystemConfig &base,
     // -- topology -------------------------------------------------------
     client = std::make_unique<Node>(eq, "client", cfg, 0);
     for (std::uint32_t i = 0; i < cl.nodes; ++i) {
-        std::string name = "server";
-        if (cl.nodes > 1) {
-            name = "s";
-            name += std::to_string(i + 1);
-        }
+        // Built with append(): GCC 12 flags both assign-then-append
+        // (under ASan) and "s" + string (at -O3) with a false
+        // -Werror=restrict overlap here.
+        std::string name =
+            cl.nodes > 1 ? std::string("s").append(std::to_string(i + 1))
+                         : std::string("server");
         serverNodes.push_back(
             std::make_unique<Node>(eq, name, cfg, i + 1));
     }

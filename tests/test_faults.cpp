@@ -359,26 +359,32 @@ TEST(RowCloneFallback, FailedClonesFallBackAndStillDeliver)
 // TX-hang watchdog
 // ---------------------------------------------------------------------
 
-TEST(TxWatchdog, NetdimmDriverRecoversFromForcedHang)
+// Every NIC kind runs the same hang/reset personality (NicDevice) and
+// the same watchdog (Driver), so one recovery test covers all five.
+class TxWatchdogHang : public ::testing::TestWithParam<NicKind>
+{};
+
+TEST_P(TxWatchdogHang, RecoversFromForcedHang)
 {
     QuietScope q;
     SystemConfig sys;
-    sys.nic = NicKind::NetDimm;
+    sys.nic = GetParam();
     NodePair p(sys);
+    NicDevice *dev = p.tx->endpoint();
 
     int delivered = 0;
     p.rx->setReceiveHandler(
         [&](const PacketPtr &, Tick) { ++delivered; });
 
-    p.tx->netdimm()->forceHang();
+    dev->forceHang();
     p.tx->sendPacket(p.tx->makeTxPacket(1460, p.rx->id()));
     p.eq.run();
 
     // The watchdog must have detected the stall and reset the device;
     // the hung packet was dropped (raw mode has no retransmission).
     EXPECT_GE(p.tx->driver().txHangRecoveries(), 1u);
-    EXPECT_GE(p.tx->netdimm()->resets(), 1u);
-    EXPECT_FALSE(p.tx->netdimm()->hung());
+    EXPECT_GE(dev->resets(), 1u);
+    EXPECT_FALSE(dev->hung());
     EXPECT_EQ(p.tx->driver().skbsDroppedOnReset(), 1u);
     EXPECT_EQ(delivered, 0);
     // Detection takes at least the configured stall age.
@@ -392,30 +398,18 @@ TEST(TxWatchdog, NetdimmDriverRecoversFromForcedHang)
     EXPECT_EQ(p.eq.deadlocksDetected(), 0u);
 }
 
-TEST(TxWatchdog, StandardDriverRecoversFromForcedHang)
-{
-    QuietScope q;
-    SystemConfig sys;
-    sys.nic = NicKind::Discrete;
-    NodePair p(sys);
-
-    int delivered = 0;
-    p.rx->setReceiveHandler(
-        [&](const PacketPtr &, Tick) { ++delivered; });
-
-    p.tx->nic()->forceHang();
-    p.tx->sendPacket(p.tx->makeTxPacket(1460, p.rx->id()));
-    p.eq.run();
-
-    EXPECT_GE(p.tx->driver().txHangRecoveries(), 1u);
-    EXPECT_GE(p.tx->nic()->resets(), 1u);
-    EXPECT_FALSE(p.tx->nic()->hung());
-    EXPECT_EQ(delivered, 0);
-
-    p.tx->sendPacket(p.tx->makeTxPacket(1460, p.rx->id()));
-    p.eq.run();
-    EXPECT_EQ(delivered, 1);
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllNics, TxWatchdogHang,
+    ::testing::Values(NicKind::Discrete, NicKind::DiscreteZeroCopy,
+                      NicKind::Integrated,
+                      NicKind::IntegratedZeroCopy, NicKind::NetDimm),
+    [](const ::testing::TestParamInfo<NicKind> &info) {
+        std::string n = nicKindName(info.param);
+        for (auto &c : n)
+            if (c == '.')
+                c = '_';
+        return n;
+    });
 
 TEST(TxWatchdog, DoesNotFireOnHealthyTraffic)
 {
