@@ -36,9 +36,7 @@ main(int argc, char **argv)
         Node tx(eq, "tx", cfg, 0);
         Node rx(eq, "rx", cfg, 1);
         EthLink link(eq, "link", cfg.eth);
-        link.connect(tx.endpoint(), rx.endpoint());
-        tx.connectTo(link);
-        rx.connectTo(link);
+        connectNodes(link, tx, rx);
 
         IperfFlow flow(eq, "flow", tx, rx, 1460, 64, 4);
         flow.start();

@@ -90,9 +90,7 @@ runOne(const std::string &cls, double rate, double windowUs)
     Node tx(eq, "tx", sys, 0);
     Node rx(eq, "rx", sys, 1);
     EthLink link(eq, "wire", sys.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    connectNodes(link, tx, rx);
 
     // Link faults ride the generic framework: the injector's domain
     // comes from the tx node's registry, so the wire's schedule

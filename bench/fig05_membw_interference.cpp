@@ -39,9 +39,7 @@ runOne(double delay_ns, Tick sim_time)
     Node tx(eq, "tx", cfg, 0);
     Node rx(eq, "rx", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    connectNodes(link, tx, rx);
 
     IperfFlow flow(eq, "iperf", tx, rx, 1460, 64, 1);
 

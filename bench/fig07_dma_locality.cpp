@@ -34,9 +34,7 @@ main(int argc, char **argv)
     Node rx(eq, "rx", cfg, 0);
     Node tx(eq, "tx", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    connectNodes(link, tx, rx);
 
     struct Sample
     {

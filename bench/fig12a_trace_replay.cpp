@@ -15,17 +15,18 @@
  * runs on a SweepRunner thread pool (`--jobs N`, default: hardware
  * concurrency) and prints in grid order, so output is byte-identical
  * regardless of the job count.
+ *
+ * A raw cell is the shared Fig. 12(a) scenario (FabricPair::replay in
+ * src/workload/Scenarios.hh); a --reliable cell builds the same node
+ * pair and fabric and sends the trace through transport flows.
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "harness/SweepRunner.hh"
-#include "net/Switch.hh"
 #include "transport/TransportHost.hh"
-#include "workload/TraceFile.hh"
-#include "workload/TraceGen.hh"
-#include "kernel/Node.hh"
+#include "workload/Scenarios.hh"
 
 using namespace netdimm;
 
@@ -36,50 +37,21 @@ double
 replayMeanLatencyUs(const std::vector<TraceRecord> &trace,
                     NicKind kind, double switch_ns)
 {
-    SystemConfig cfg;
-    cfg.nic = kind;
-    cfg.eth.switchLatency = nsToTicks(switch_ns);
-
-    EventQueue eq;
-    Node tx(eq, "tx", cfg, 0);
-    Node rx(eq, "rx", cfg, 1);
-    ClosFabric fabric(eq, "fabric", cfg.eth);
-    fabric.attach(0, tx.endpoint());
-    fabric.attach(1, rx.endpoint());
-
-    // The fabric charges each packet its trace record's locality
-    // class, stamped on the packet at send time.
-    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
-    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
+    FabricPair pair(kind, nsToTicks(switch_ns));
 
     const int npackets = int(trace.size());
     double sum_us = 0.0;
     int measured = 0;
     int seen = 0;
     int warmup = npackets / 10;
-    rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
+    pair.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
         if (seen++ >= warmup) {
             sum_us += ticksToUs(pkt->oneWayLatency());
             ++measured;
         }
     });
 
-    // Replay the pre-synthesized arrivals; ~5 Gbps offered so
-    // endpoint queues stay shallow (the paper replays a single node's
-    // trace, not a saturating stream). Eight flows spread RX
-    // contexts.
-    Tick t = 0;
-    for (int i = 0; i < npackets; ++i) {
-        const TraceRecord &rec = trace[std::size_t(i)];
-        t += rec.interArrival;
-        eq.schedule(t, [&tx, &rx, rec, i] {
-            PacketPtr pkt = tx.makeTxPacket(rec.bytes, rx.id(),
-                                            1 + (i % 8));
-            pkt->locality = rec.locality;
-            tx.sendPacket(pkt);
-        });
-    }
-    eq.run();
+    pair.replay(trace);
     return measured ? sum_us / measured : 0.0;
 }
 
@@ -95,21 +67,10 @@ double
 replayReliableMeanLatencyUs(const std::vector<TraceRecord> &trace,
                             NicKind kind, double switch_ns)
 {
-    SystemConfig cfg;
-    cfg.nic = kind;
-    cfg.eth.switchLatency = nsToTicks(switch_ns);
-
-    EventQueue eq;
-    Node tx(eq, "tx", cfg, 0);
-    Node rx(eq, "rx", cfg, 1);
-    ClosFabric fabric(eq, "fabric", cfg.eth);
-    fabric.attach(0, tx.endpoint());
-    fabric.attach(1, rx.endpoint());
-    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
-    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
-
-    TransportHost txHost(eq, "txhost", tx);
-    TransportHost rxHost(eq, "rxhost", rx);
+    FabricPair pair(kind, nsToTicks(switch_ns));
+    EventQueue &eq = pair.eq;
+    TransportHost txHost(eq, "txhost", pair.tx);
+    TransportHost rxHost(eq, "rxhost", pair.rx);
 
     const int npackets = int(trace.size());
     double sum_us = 0.0;
@@ -119,7 +80,7 @@ replayReliableMeanLatencyUs(const std::vector<TraceRecord> &trace,
     std::vector<std::unique_ptr<TransportFlow>> flows;
     for (int p = 0; p < 8; ++p) {
         auto flow = std::make_unique<TransportFlow>(
-            eq, "flow" + std::to_string(p), cfg.transport, 1 + p);
+            eq, "flow" + std::to_string(p), pair.cfg.transport, 1 + p);
         connectFlow(*flow, txHost, rxHost);
         flow->setDeliveryHandler(
             [&](const PacketPtr &pkt, Tick) {
@@ -173,7 +134,9 @@ main(int argc, char **argv)
 
     // Shared immutable inputs: one synthesized trace per cluster,
     // identical to what each cell used to generate privately (same
-    // generator, same seed), read by every cell via const ref.
+    // generator, same seed), read by every cell via const ref. ~5 Gbps
+    // offered so endpoint queues stay shallow (the paper replays a
+    // single node's trace, not a saturating stream).
     std::vector<std::vector<TraceRecord>> traces =
         synthesizeClusterTraces(clusters, 5.0, 12345, npackets);
 

@@ -9,16 +9,16 @@
  * paper: +5.7~15.4%). L3F touches only the header: nCache serves it
  * and the payload never leaves the DIMM, while iNIC's DDIO writes
  * churn the LLC and spill to DRAM (paper: -9.8~-30.9%).
+ *
+ * Each cell is the shared Fig. 12(b) scenario (NfCell in
+ * src/workload/Scenarios.hh) at 24 Gbps, seed 777.
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "harness/SweepRunner.hh"
-#include "net/Switch.hh"
-#include "workload/MemLatencyProbe.hh"
-#include "workload/NfHarness.hh"
-#include "workload/TraceGen.hh"
+#include "workload/Scenarios.hh"
 
 using namespace netdimm;
 
@@ -29,43 +29,10 @@ double
 probeLatencyNs(ClusterType cluster, NicKind kind, NfKind nf,
                int npackets)
 {
-    SystemConfig cfg;
-    cfg.nic = kind;
-
-    EventQueue eq;
-    Node gen(eq, "gen", cfg, 0);
-    Node nut(eq, "nut", cfg, 1); // node under test
-    ClosFabric fabric(eq, "fabric", cfg.eth);
-    fabric.attach(0, gen.endpoint());
-    fabric.attach(1, nut.endpoint());
-    gen.setWire([&](const PacketPtr &p) { fabric.deliver(p); });
-    nut.setWire([&](const PacketPtr &p) { fabric.deliver(p); });
-
-    NfHarness harness(eq, "nf", nut, nf);
-    MemLatencyProbe probe(eq, "probe", nut, nsToTicks(20));
-
-    // Warm the co-runner's working set, then start the traffic and
-    // drop the warm-up samples.
-    const Tick traffic_start = usToTicks(150);
-    probe.warmUp();
-    probe.start();
-    eq.schedule(traffic_start, [&probe] { probe.resetStats(); });
-
     // Offered load high enough to stress the memory path (~24 Gbps).
-    TraceGen tg(cluster, 24.0, 777);
-    Tick t = traffic_start;
-    for (int i = 0; i < npackets; ++i) {
-        TraceRecord rec = tg.next();
-        t += rec.interArrival;
-        eq.schedule(t, [&gen, &nut, rec, i] {
-            PacketPtr pkt =
-                gen.makeTxPacket(rec.bytes, nut.id(), 1 + (i % 8));
-            gen.sendPacket(pkt);
-        });
-    }
-    eq.run(t + usToTicks(50));
-    probe.stop();
-    return probe.meanLatencyNs();
+    NfCell cell(kind, nf, "nut"); // node under test
+    cell.run(cluster, 24.0, 777, npackets);
+    return cell.probe.meanLatencyNs();
 }
 
 } // namespace

@@ -7,9 +7,11 @@
  * because its per-packet CPU work is smaller (the clone offloads the
  * copy), while the dNIC's RX cores saturate first.
  *
- * Each (kind, load) point is an independent simulation, so the grid
- * runs on a SweepRunner thread pool (`--jobs N`, default: hardware
- * concurrency); results print in grid order, byte-identical
+ * Each (kind, load) point is the shared offered-load cell
+ * (OfferedLoadCell in src/workload/Scenarios.hh: a 1460 B Poisson
+ * train on 8 flows over one link), an independent simulation, so the
+ * grid runs on a SweepRunner thread pool (`--jobs N`, default:
+ * hardware concurrency); results print in grid order, byte-identical
  * regardless of the job count.
  */
 
@@ -18,9 +20,7 @@
 
 #include "harness/LatencyHistogram.hh"
 #include "harness/SweepRunner.hh"
-#include "net/Link.hh"
-#include "kernel/Node.hh"
-#include "workload/TraceGen.hh"
+#include "workload/Scenarios.hh"
 
 using namespace netdimm;
 
@@ -37,16 +37,7 @@ struct LoadPoint
 LoadPoint
 runLoad(NicKind kind, double offered_gbps, int npackets)
 {
-    SystemConfig cfg;
-    cfg.nic = kind;
-
-    EventQueue eq;
-    Node tx(eq, "tx", cfg, 0);
-    Node rx(eq, "rx", cfg, 1);
-    EthLink link(eq, "link", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    OfferedLoadCell cell(kind);
 
     // Sampled in raw ticks: the log-binned histogram is exact below
     // 2^7 and within ~1.6% above, and mean() carries no binning error.
@@ -55,7 +46,7 @@ runLoad(NicKind kind, double offered_gbps, int npackets)
     Tick first = 0, last = 0;
     int seen = 0;
     int warmup = npackets / 10;
-    rx.setReceiveHandler([&](const PacketPtr &pkt, Tick t) {
+    cell.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick t) {
         if (seen++ < warmup)
             return;
         if (first == 0)
@@ -64,18 +55,7 @@ runLoad(NicKind kind, double offered_gbps, int npackets)
         bytes += pkt->bytes;
         lat.sample(pkt->oneWayLatency());
     });
-
-    // MTU-heavy mix at the offered rate, 8 flows across RX cores.
-    Random rng(321);
-    Tick t = 0;
-    double mean_gap_ns = 1460.0 * 8.0 / offered_gbps;
-    for (int i = 0; i < npackets; ++i) {
-        t += Tick(rng.exponential(mean_gap_ns) * double(tickPerNs));
-        eq.schedule(t, [&tx, &rx, i] {
-            tx.sendPacket(tx.makeTxPacket(1460, rx.id(), 1 + (i % 8)));
-        });
-    }
-    eq.run();
+    cell.run(offered_gbps, npackets);
 
     LoadPoint p;
     p.meanUs = lat.mean() / double(tickPerUs);

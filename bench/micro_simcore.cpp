@@ -221,9 +221,7 @@ BM_EndToEndPacket(benchmark::State &state)
         EventQueue eq;
         Node a(eq, "a", cfg, 0), b(eq, "b", cfg, 1);
         EthLink link(eq, "link", cfg.eth);
-        link.connect(a.endpoint(), b.endpoint());
-        a.connectTo(link);
-        b.connectTo(link);
+        connectNodes(link, a, b);
         int got = 0;
         b.setReceiveHandler([&](const PacketPtr &, Tick) { ++got; });
         state.ResumeTiming();

@@ -5,20 +5,22 @@
  *
  * Three phases, each deterministic at fixed seeds:
  *
- *  - replay: a fig12a-style datacenter trace replay (Database
- *    cluster, 50 ns switches, all three NIC kinds over the clos
- *    fabric). The headline events/sec number; the mean latencies are
- *    printed as a determinism witness and must not change when the
- *    core is optimized.
+ *  - replay: the Fig. 12(a) trace replay (FabricPair::replay in
+ *    src/workload/Scenarios.hh; Database cluster, 50 ns switches,
+ *    all three NIC kinds) with a longer trace. The headline
+ *    events/sec number; the mean latencies are printed as a
+ *    determinism witness and must not change when the core is
+ *    optimized.
  *  - churn:  a transport-like schedule/deschedule storm (every
  *    payload event arms a timeout that is cancelled before it fires),
  *    isolating scheduler + cancellation cost from the device models.
  *  - pool:   Packet/MemRequest factory churn, isolating the object
  *    allocation path.
- *  - campaign: a fault-campaign-style grid of independent simulation
- *    cells run twice on the parallel sweep harness — once on one
- *    worker, once on `--jobs N` workers (default: hardware
- *    concurrency) — reporting cells/sec and the parallel speedup.
+ *  - campaign: a grid of independent offered-load cells
+ *    (OfferedLoadCell, the latency_vs_load cell) run twice on the
+ *    parallel sweep harness — once on one worker, once on
+ *    `--jobs N` workers (default: hardware concurrency) — reporting
+ *    cells/sec and the parallel speedup.
  *    The summed witness latency must match between the two runs
  *    (jobs-invariance); on a >=4-core machine the speedup gates at
  *    3x.
@@ -46,10 +48,8 @@
 
 #include "PerfGate.hh"
 #include "harness/SweepRunner.hh"
-#include "net/Link.hh"
-#include "net/Switch.hh"
-#include "workload/TraceGen.hh"
-#include "kernel/Node.hh"
+#include "workload/Scenarios.hh"
+#include "workload/TraceFile.hh"
 
 // ---------------------------------------------------------------------
 // Allocation counting: every heap allocation made by this binary goes
@@ -151,30 +151,19 @@ struct PhaseResult
 // -- replay phase -----------------------------------------------------
 
 /**
- * fig12a-style raw-frame replay of one cluster trace over the clos
- * fabric; returns the mean one-way latency (determinism witness) and
- * accumulates events/wall into @p out.
+ * The Fig. 12(a) raw-frame replay (database cluster, 50 ns switches)
+ * with a longer trace; returns the mean one-way latency (determinism
+ * witness) and accumulates events/wall into @p out. The timed region
+ * covers trace synthesis, scheduling and the run.
  */
 double
 replayOnce(NicKind kind, int npackets, PhaseResult &out)
 {
-    SystemConfig cfg;
-    cfg.nic = kind;
-    cfg.eth.switchLatency = nsToTicks(50);
-
-    EventQueue eq;
-    Node tx(eq, "tx", cfg, 0);
-    Node rx(eq, "rx", cfg, 1);
-    ClosFabric fabric(eq, "fabric", cfg.eth);
-    fabric.attach(0, tx.endpoint());
-    fabric.attach(1, rx.endpoint());
-
-    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
-    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
+    FabricPair pair(kind, nsToTicks(50));
 
     double sum_us = 0.0;
     int measured = 0;
-    rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
+    pair.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
         sum_us += ticksToUs(pkt->oneWayLatency());
         ++measured;
     });
@@ -183,21 +172,10 @@ replayOnce(NicKind kind, int npackets, PhaseResult &out)
     std::uint64_t allocs0 = g_heapAllocs.load();
 
     TraceGen gen(ClusterType::Database, 5.0, 12345);
-    Tick t = 0;
-    for (int i = 0; i < npackets; ++i) {
-        TraceRecord rec = gen.next();
-        t += rec.interArrival;
-        eq.schedule(t, [&tx, &rx, rec, i] {
-            PacketPtr pkt = tx.makeTxPacket(rec.bytes, rx.id(),
-                                            1 + (i % 8));
-            pkt->locality = rec.locality;
-            tx.sendPacket(pkt);
-        });
-    }
-    eq.run();
+    pair.replay(TraceFile::synthesize(gen, npackets));
 
     out.items += std::uint64_t(npackets);
-    out.events += eq.executedEvents();
+    out.events += pair.eq.executedEvents();
     out.allocs += g_heapAllocs.load() - allocs0;
     out.wallS += bench::wallSeconds(t0);
     return measured ? sum_us / measured : 0.0;
@@ -300,42 +278,22 @@ runPool(std::uint64_t objects)
 // -- campaign phase ---------------------------------------------------
 
 /**
- * One independent campaign cell: a two-node link simulation pushing a
- * paced MTU train at the given offered load. Deterministic given
+ * One independent campaign cell: the offered-load cell (an MTU
+ * Poisson train over one link) at the given load. Deterministic given
  * (kind, offered, npackets); returns the mean one-way latency as the
  * cell's witness value.
  */
 double
 campaignCell(NicKind kind, double offered_gbps, int npackets)
 {
-    SystemConfig cfg;
-    cfg.nic = kind;
-
-    EventQueue eq;
-    Node tx(eq, "tx", cfg, 0);
-    Node rx(eq, "rx", cfg, 1);
-    EthLink link(eq, "link", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
-
+    OfferedLoadCell cell(kind);
     double sum_us = 0.0;
     int measured = 0;
-    rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
+    cell.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
         sum_us += ticksToUs(pkt->oneWayLatency());
         ++measured;
     });
-
-    Random rng(321);
-    Tick t = 0;
-    double mean_gap_ns = 1460.0 * 8.0 / offered_gbps;
-    for (int i = 0; i < npackets; ++i) {
-        t += Tick(rng.exponential(mean_gap_ns) * double(tickPerNs));
-        eq.schedule(t, [&tx, &rx, i] {
-            tx.sendPacket(tx.makeTxPacket(1460, rx.id(), 1 + (i % 8)));
-        });
-    }
-    eq.run();
+    cell.run(offered_gbps, npackets);
     return measured ? sum_us / measured : 0.0;
 }
 

@@ -46,9 +46,7 @@ runKv(NicKind kind, std::uint32_t value_bytes, int requests)
     Node client(eq, "client", cfg, 0);
     Node server(eq, "server", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(client.endpoint(), server.endpoint());
-    client.connectTo(link);
-    server.connectTo(link);
+    connectNodes(link, client, server);
 
     LatencyHistogram rtt; ///< ticks
     int done = 0;

@@ -3,7 +3,9 @@
  * NFV middlebox example: a node runs an L3 forwarder or a deep
  * packet inspector over a stream of datacenter traffic while a
  * latency-sensitive application shares its memory system -- the
- * Sec. 5.3 scenario, runnable as a small standalone program.
+ * Sec. 5.3 scenario, runnable as a small standalone program. Each
+ * row is the shared Fig. 12(b) cell (NfCell in
+ * src/workload/Scenarios.hh) on webserver traffic, seed 99.
  *
  *   $ ./examples/nfv_forwarder [l3f|dpi] [gbps]
  *
@@ -16,10 +18,7 @@
 #include <cstring>
 #include <cstdlib>
 
-#include "net/Switch.hh"
-#include "workload/MemLatencyProbe.hh"
-#include "workload/NfHarness.hh"
-#include "workload/TraceGen.hh"
+#include "workload/Scenarios.hh"
 
 using namespace netdimm;
 
@@ -66,40 +65,13 @@ main(int argc, char **argv)
                 "co-runner mem(ns)", "packets fwd");
 
     for (NicKind kind : {NicKind::Integrated, NicKind::NetDimm}) {
-        SystemConfig cfg;
-        cfg.nic = kind;
-
-        EventQueue eq;
-        Node gen(eq, "gen", cfg, 0);
-        Node mbox(eq, "mbox", cfg, 1);
-        ClosFabric fabric(eq, "fabric", cfg.eth);
-        fabric.attach(0, gen.endpoint());
-        fabric.attach(1, mbox.endpoint());
-        gen.setWire([&](const PacketPtr &p) { fabric.deliver(p); });
-        mbox.setWire([&](const PacketPtr &p) { fabric.deliver(p); });
-
-        NfHarness harness(eq, "nf", mbox, nf);
-        MemLatencyProbe probe(eq, "probe", mbox, nsToTicks(20));
-        probe.warmUp();
-        probe.start();
-        Tick traffic_start = usToTicks(150);
-        eq.schedule(traffic_start, [&probe] { probe.resetStats(); });
-
-        TraceGen tg(ClusterType::Webserver, gbps, 99);
-        Tick t = traffic_start;
-        for (int i = 0; i < npackets; ++i) {
-            TraceRecord rec = tg.next();
-            t += rec.interArrival;
-            eq.schedule(t, [&gen, &mbox, rec, i] {
-                gen.sendPacket(gen.makeTxPacket(rec.bytes, mbox.id(),
-                                                1 + (i % 8)));
-            });
-        }
-        eq.run(t + usToTicks(50));
+        NfCell cell(kind, nf, "mbox");
+        cell.run(ClusterType::Webserver, gbps, 99, npackets);
 
         std::printf("%-10s %16.1f %18.1f %16llu\n", nicKindName(kind),
-                    harness.meanProcessNs(), probe.meanLatencyNs(),
-                    (unsigned long long)harness.forwarded());
+                    cell.harness.meanProcessNs(),
+                    cell.probe.meanLatencyNs(),
+                    (unsigned long long)cell.harness.forwarded());
     }
 
     std::printf("\nWith L3F the NetDIMM middlebox serves headers from "

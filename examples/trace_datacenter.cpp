@@ -2,8 +2,9 @@
  * @file
  * Datacenter trace replay example: replay one of the three cluster
  * traffic mixes between two servers across a clos fabric and print
- * the per-packet latency distribution -- a compact version of the
- * Fig. 12(a) methodology exposed as a command-line tool.
+ * the per-packet latency distribution -- the shared Fig. 12(a)
+ * scenario (FabricPair::replay in src/workload/Scenarios.hh) exposed
+ * as a command-line tool.
  *
  *   $ ./examples/trace_datacenter [database|webserver|hadoop] \
  *         [dnic|inic|netdimm] [switch_ns] [--stats] [--trace FILE]
@@ -22,10 +23,8 @@
 #include <iostream>
 
 #include "harness/LatencyHistogram.hh"
-#include "net/Switch.hh"
-#include "kernel/Node.hh"
+#include "workload/Scenarios.hh"
 #include "workload/TraceFile.hh"
-#include "workload/TraceGen.hh"
 
 using namespace netdimm;
 
@@ -121,22 +120,9 @@ main(int argc, char **argv)
     }
     const int npackets = 1200;
 
-    SystemConfig cfg;
-    cfg.nic = kind;
-    cfg.eth.switchLatency = nsToTicks(switch_ns);
-
-    EventQueue eq;
-    Node tx(eq, "tx", cfg, 0);
-    Node rx(eq, "rx", cfg, 1);
-    ClosFabric fabric(eq, "fabric", cfg.eth);
-    fabric.attach(0, tx.endpoint());
-    fabric.attach(1, rx.endpoint());
-
-    tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
-    rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
-
+    FabricPair pair(kind, nsToTicks(switch_ns));
     LatencyHistogram lat; // ticks
-    rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
+    pair.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
         lat.sample(pkt->oneWayLatency());
     });
 
@@ -149,19 +135,7 @@ main(int argc, char **argv)
         TraceGen gen(cluster, 5.0, 2026);
         records = TraceFile::synthesize(gen, npackets);
     }
-
-    Tick t = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const TraceRecord &rec = records[i];
-        t += rec.interArrival;
-        eq.schedule(t, [&, rec, i] {
-            PacketPtr pkt =
-                tx.makeTxPacket(rec.bytes, rx.id(), 1 + (i % 8));
-            pkt->locality = rec.locality;
-            tx.sendPacket(pkt);
-        });
-    }
-    eq.run();
+    pair.replay(records);
 
     std::printf("cluster=%s nic=%s switch=%.0fns packets=%llu\n\n",
                 clusterName(cluster), nicKindName(kind), switch_ns,
@@ -179,7 +153,7 @@ main(int argc, char **argv)
 
     if (stats) {
         std::printf("\n");
-        rx.printStats(std::cout);
+        pair.rx.printStats(std::cout);
     }
     return 0;
 }

@@ -116,6 +116,14 @@ Node::connectTo(EthLink &link)
     setWire([l, self](const PacketPtr &pkt) { l->send(self, pkt); });
 }
 
+void
+connectNodes(EthLink &link, Node &a, Node &b)
+{
+    link.connect(a.endpoint(), b.endpoint());
+    a.connectTo(link);
+    b.connectTo(link);
+}
+
 PacketPtr
 Node::makeTxPacket(std::uint32_t bytes, std::uint32_t dst,
                    std::uint64_t flow)

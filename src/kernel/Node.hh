@@ -182,6 +182,10 @@ class Node : public SimObject
     std::size_t _appCursor = 0;
 };
 
+/** Wire @p a and @p b to the two ends of @p link (link.connect plus
+ *  both nodes' connectTo). */
+void connectNodes(EthLink &link, Node &a, Node &b);
+
 } // namespace netdimm
 
 #endif // NETDIMM_KERNEL_NODE_HH

@@ -1,14 +1,13 @@
 /**
  * @file
- * Socket buffer (SKB) and socket models (Sec. 4.2.2).
+ * Socket model (Sec. 4.2.2).
  *
- * The NetDIMM driver adds two fields to the stock structures:
- *  - skb->COPY_NEEDED: set on SKBs allocated outside the serving
- *    NetDIMM's zone (connection establishment, zone exhaustion);
- *    the TX slow path copies such SKBs into a NET(i) DMA buffer.
- *  - sock->skb_zone: after the first transmission the connection
- *    remembers which NET(i) zone serves it, so subsequent SKBs and
- *    paged buffers allocate there directly (fast path).
+ * The NetDIMM driver adds sock->skb_zone to the stock structure:
+ * after the first transmission the connection remembers which NET(i)
+ * zone serves it, so subsequent SKBs and paged buffers allocate
+ * there directly (fast path). NetdimmDriver::send() decides the
+ * per-packet COPY_NEEDED slow path from this zone and the packet's
+ * source buffer.
  */
 
 #ifndef NETDIMM_KERNEL_SKB_HH
@@ -18,7 +17,6 @@
 #include <memory>
 
 #include "kernel/Zones.hh"
-#include "mem/MemRequest.hh"
 
 namespace netdimm
 {
@@ -32,20 +30,6 @@ struct Socket
 };
 
 using SocketPtr = std::shared_ptr<Socket>;
-
-/** Socket buffer: metadata for one in-flight packet's data. */
-struct Skb
-{
-    /** Physical address of the linear data area. */
-    Addr dataAddr = 0;
-    std::uint32_t bytes = 0;
-    /** Zone the data area lives in. */
-    MemZone zone = MemZone::Normal;
-    /** Data is not in the serving NetDIMM's zone; TX must copy. */
-    bool copyNeeded = false;
-    /** Owning connection. */
-    SocketPtr sock;
-};
 
 } // namespace netdimm
 

@@ -10,9 +10,7 @@ LatencyHarness::run(std::uint32_t bytes, int npkts, int warmup) const
     Node a(eq, "a", _cfg, 0);
     Node b(eq, "b", _cfg, 1);
     EthLink link(eq, "link", _cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
 
     PingResult res;
     res.bytes = bytes;

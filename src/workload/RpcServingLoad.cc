@@ -36,20 +36,6 @@ placementName(ServingPlacement p)
     return "?";
 }
 
-const char *
-shedPolicyName(ShedPolicy s)
-{
-    switch (s) {
-    case ShedPolicy::None:
-        return "none";
-    case ShedPolicy::Tail:
-        return "tail";
-    case ShedPolicy::GetsFirst:
-        return "gets-first";
-    }
-    return "?";
-}
-
 namespace
 {
 
@@ -744,10 +730,7 @@ ServingSim::ServingSim(const SystemConfig &base,
     if (cl.nodes == 1) {
         // One server needs no switch: a direct link, no extra hop.
         directLink = std::make_unique<EthLink>(eq, "link", cfg.eth);
-        directLink->connect(client->endpoint(),
-                            serverNodes[0]->endpoint());
-        client->connectTo(*directLink);
-        serverNodes[0]->connectTo(*directLink);
+        connectNodes(*directLink, *client, *serverNodes[0]);
     } else {
         sw = std::make_unique<Switch>(eq, "sw", cfg.eth);
         auto wire = [this](Node &n) {

@@ -62,15 +62,15 @@ enum class ServingPlacement : std::uint8_t
 
 const char *placementName(ServingPlacement p);
 
-/** Host-side load-shedding policy when the admission queue is full. */
+/**
+ * Host-side load-shedding policy when the bounded admission queue is
+ * full (ServingParams::admitDepth > 0; depth 0 never sheds).
+ */
 enum class ShedPolicy : std::uint8_t
 {
-    None,     ///< unbounded FIFO admission (the PR 6 behaviour)
-    Tail,     ///< bounded queue, drop the incoming request
-    GetsFirst ///< bounded queue, evict a queued GET before a PUT
+    Tail,     ///< drop the incoming request
+    GetsFirst ///< evict a queued GET before a PUT
 };
-
-const char *shedPolicyName(ShedPolicy s);
 
 /**
  * The serving tier (DESIGN.md §15): N serving nodes behind a
@@ -162,10 +162,11 @@ struct ServingParams
      *  running p99) if the reply has not arrived; first reply wins. */
     bool hedge = false;
     Tick hedgeFloor = usToTicks(2);
-    /** Host admission-queue bound; 0 keeps the PR 6 unbounded FIFO. */
+    /** Host admission-queue bound; 0 is an unbounded FIFO that never
+     *  sheds, whatever the policy. */
     std::uint32_t admitDepth = 0;
     /** What to do with the overflow when admitDepth is exceeded. */
-    ShedPolicy shed = ShedPolicy::None;
+    ShedPolicy shed = ShedPolicy::Tail;
     /** Drop requests whose deadline is already (about to be) blown at
      *  dequeue instead of serving them late. On the handler placement
      *  this also arms the stage's dispatch-time shed. */

@@ -26,9 +26,7 @@ struct Pair
         : a(eq, "a", makeCfg(kind), 0), b(eq, "b", makeCfg(kind), 1),
           link(eq, "link", a.config().eth)
     {
-        link.connect(a.endpoint(), b.endpoint());
-        a.connectTo(link);
-        b.connectTo(link);
+        connectNodes(link, a, b);
     }
 
     static SystemConfig
@@ -131,9 +129,7 @@ TEST(NetdimmDriverPath, UnhintedAllocationDegradesCloneMode)
     EventQueue eq;
     Node a(eq, "a", cfg, 0), b(eq, "b", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
     int got = 0;
     b.setReceiveHandler([&](const PacketPtr &, Tick) { ++got; });
     for (int i = 0; i < 5; ++i) {

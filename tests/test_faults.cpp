@@ -40,9 +40,7 @@ struct NodePair
         tx = std::make_unique<Node>(eq, "tx", sys, 0);
         rx = std::make_unique<Node>(eq, "rx", sys, 1);
         link = std::make_unique<EthLink>(eq, "wire", sys.eth);
-        link->connect(tx->endpoint(), rx->endpoint());
-        tx->connectTo(*link);
-        rx->connectTo(*link);
+        connectNodes(*link, *tx, *rx);
     }
 };
 

@@ -188,9 +188,7 @@ TEST(NodeE2EStats, DriverAndNicCountersAdvance)
     Node a(eq, "a", cfg, 0);
     Node b(eq, "b", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
 
     // Send sequentially so the per-socket zone memo (set when the
     // first transmission completes) governs the later packets.

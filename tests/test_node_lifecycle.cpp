@@ -44,9 +44,7 @@ struct Pair
         client = std::make_unique<Node>(eq, "client", cfg, 0);
         server = std::make_unique<Node>(eq, "server", cfg, 1);
         link = std::make_unique<EthLink>(eq, "link", cfg.eth);
-        link->connect(client->endpoint(), server->endpoint());
-        client->connectTo(*link);
-        server->connectTo(*link);
+        connectNodes(*link, *client, *server);
         server->setReceiveHandler(
             [this](const PacketPtr &, Tick) { ++delivered; });
     }

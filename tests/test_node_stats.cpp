@@ -82,9 +82,7 @@ statsAfterTraffic(NicKind kind)
     EventQueue eq;
     Node a(eq, "a", cfg, 0), b(eq, "b", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
     b.setReceiveHandler([](const PacketPtr &, Tick) {});
     for (int i = 0; i < 3; ++i) {
         eq.schedule(usToTicks(4) * Tick(i + 1), [&a, &b] {

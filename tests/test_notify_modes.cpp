@@ -112,9 +112,7 @@ TEST(NotifyModes, AdaptivePollingPaysInterruptAfterIdle)
     EventQueue eq;
     Node a(eq, "a", cfg, 0), b(eq, "b", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
 
     std::vector<PacketPtr> got;
     b.setReceiveHandler(
@@ -149,9 +147,7 @@ TEST(NotifyModes, ModerationBatchesBackToBackArrivals)
     EventQueue eq;
     Node a(eq, "a", cfg, 0), b(eq, "b", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
 
     std::vector<PacketPtr> got;
     b.setReceiveHandler(

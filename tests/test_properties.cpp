@@ -151,9 +151,7 @@ TEST_P(PropertyE2E, EveryPacketDeliveredExactlyOnce)
     EventQueue eq;
     Node a(eq, "a", cfg, 0), b(eq, "b", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(a.endpoint(), b.endpoint());
-    a.connectTo(link);
-    b.connectTo(link);
+    connectNodes(link, a, b);
 
     std::map<std::uint64_t, int> seen;
     b.setReceiveHandler(

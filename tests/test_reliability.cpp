@@ -115,21 +115,35 @@ TEST(Reliability, HedgingRacesDuplicatesHarmlessly)
 TEST(Reliability, BoundedAdmissionShedsUnderOverload)
 {
     // Offered load ~4x the host pool's capacity: the bounded queue
-    // must shed instead of building an unbounded backlog.
-    SystemConfig base;
-    ServingParams p = smallCell(ServingPlacement::NetDimmHost);
-    p.qps = 4e6;
-    p.deadline = usToTicks(30);
-    p.admitDepth = 4;
-    p.shed = ShedPolicy::Tail;
-    p.dropExpiredAtDequeue = true;
-    p.dequeueMargin = usToTicks(5);
+    // must shed instead of building an unbounded backlog. Depth 0 is
+    // the unbounded FIFO, which never sheds whatever the policy.
+    const struct
+    {
+        std::uint32_t depth;
+        ShedPolicy shed;
+    } inputs[] = {{4, ShedPolicy::Tail}, {0, ShedPolicy::GetsFirst}};
+    for (const auto &in : inputs) {
+        SCOPED_TRACE(in.depth);
+        SystemConfig base;
+        ServingParams p = smallCell(ServingPlacement::NetDimmHost);
+        p.qps = 4e6;
+        p.deadline = usToTicks(30);
+        p.admitDepth = in.depth;
+        p.shed = in.shed;
+        p.dropExpiredAtDequeue = true;
+        p.dequeueMargin = usToTicks(5);
 
-    ServingResult r = runServing(base, p);
-    EXPECT_GT(r.shedQueueFull, 0u);
-    EXPECT_GT(r.lost, 0u);             // shed requests never reply
-    EXPECT_LT(r.goodRpcs, r.sent);     // but survivors are on time:
-    EXPECT_GT(r.goodRpcs, 0u);         // goodput does not collapse
+        ServingResult r = runServing(base, p);
+        if (in.depth == 0) {
+            EXPECT_EQ(r.shedQueueFull, 0u);
+            EXPECT_EQ(r.shedGets, 0u);
+            continue;
+        }
+        EXPECT_GT(r.shedQueueFull, 0u);
+        EXPECT_GT(r.lost, 0u);         // shed requests never reply
+        EXPECT_LT(r.goodRpcs, r.sent); // but survivors are on time:
+        EXPECT_GT(r.goodRpcs, 0u);     // goodput does not collapse
+    }
 }
 
 TEST(Reliability, GetsFirstPolicyEvictsQueuedGets)

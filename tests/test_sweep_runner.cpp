@@ -59,9 +59,7 @@ runMiniCell(NicKind kind, int npackets)
     Node tx(eq, "tx", cfg, 0);
     Node rx(eq, "rx", cfg, 1);
     EthLink link(eq, "link", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    connectNodes(link, tx, rx);
 
     MiniResult r;
     double sum_us = 0.0;

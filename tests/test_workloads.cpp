@@ -2,8 +2,11 @@
  * @file
  * Tests for the workload generators and harnesses: the cluster trace
  * distributions (property-checked per cluster via TEST_P), the MLC
- * injector, the iperf flow, and the NF harness.
+ * injector, the iperf flow, the NF harness, and the shared two-node
+ * scenarios.
  */
+
+#include <array>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,8 @@
 #include "workload/MemLatencyProbe.hh"
 #include "workload/MlcInjector.hh"
 #include "workload/NfHarness.hh"
+#include "workload/Scenarios.hh"
+#include "workload/TraceFile.hh"
 #include "workload/TraceGen.hh"
 
 using namespace netdimm;
@@ -205,9 +210,7 @@ TEST(IperfFlow, ReachesHighGoodputOnCleanLink)
     Node tx(eq, "tx", cfg, 0);
     Node rx(eq, "rx", cfg, 1);
     EthLink link(eq, "l", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    connectNodes(link, tx, rx);
 
     IperfFlow flow(eq, "f", tx, rx, 1460, 64, 4);
     flow.start();
@@ -225,9 +228,7 @@ TEST(IperfFlow, WindowBoundsInFlight)
     Node tx(eq, "tx", cfg, 0);
     Node rx(eq, "rx", cfg, 1);
     EthLink link(eq, "l", cfg.eth);
-    link.connect(tx.endpoint(), rx.endpoint());
-    tx.connectTo(link);
-    rx.connectTo(link);
+    connectNodes(link, tx, rx);
 
     // A window of 2 on a ~3us round trip cannot exceed ~2 segments
     // per RTT.
@@ -258,9 +259,7 @@ TEST_P(NfHarnessTest, ForwardsEveryPacket)
     Node gen(eq, "gen", cfg, 0);
     Node nut(eq, "nut", cfg, 1);
     EthLink link(eq, "l", cfg.eth);
-    link.connect(gen.endpoint(), nut.endpoint());
-    gen.connectTo(link);
-    nut.connectTo(link);
+    connectNodes(link, gen, nut);
 
     NfHarness harness(eq, "nf", nut, nf);
     const int n = 40;
@@ -304,9 +303,7 @@ TEST(NfHarness, DpiReadsMoreThanL3f)
         Node gen(eq, "gen", cfg, 0);
         Node nut(eq, "nut", cfg, 1);
         EthLink link(eq, "l", cfg.eth);
-        link.connect(gen.endpoint(), nut.endpoint());
-        gen.connectTo(link);
-        nut.connectTo(link);
+        connectNodes(link, gen, nut);
         NfHarness harness(eq, "nf", nut, nf);
         for (int i = 0; i < 20; ++i) {
             eq.schedule(usToTicks(3) * Tick(i + 1), [&gen, &nut, i] {
@@ -321,4 +318,56 @@ TEST(NfHarness, DpiReadsMoreThanL3f)
     // header + descriptor lines.
     EXPECT_GT(host_reads(NfKind::DeepInspect),
               2 * host_reads(NfKind::L3Forward));
+}
+
+// ---------------------------------------------------------------------
+// Shared scenarios (Scenarios.hh).
+// ---------------------------------------------------------------------
+
+TEST(Scenarios, FabricReplayDeliversEveryRecordAtItsLocality)
+{
+    setQuiet(true);
+    TraceGen gen(ClusterType::Hadoop, 5.0, 7);
+    const std::vector<TraceRecord> trace = TraceFile::synthesize(gen, 200);
+    std::array<int, 4> sent{}, got{};
+    std::uint64_t sentBytes = 0, gotBytes = 0;
+    for (const TraceRecord &r : trace) {
+        ++sent[std::size_t(r.locality)];
+        sentBytes += r.bytes;
+    }
+
+    FabricPair pair(NicKind::Integrated, nsToTicks(50));
+    pair.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
+        EXPECT_GE(pkt->flowId, 1u);
+        EXPECT_LE(pkt->flowId, 8u);
+        ++got[std::size_t(pkt->locality)];
+        gotBytes += pkt->bytes;
+    });
+    pair.replay(trace);
+    EXPECT_EQ(got, sent);
+    EXPECT_EQ(gotBytes, sentBytes);
+    EXPECT_EQ(pair.rx.name(), "rx");
+}
+
+TEST(Scenarios, OfferedLoadCellDeliversTheWholeTrain)
+{
+    setQuiet(true);
+    OfferedLoadCell cell(NicKind::NetDimm);
+    int got = 0;
+    cell.rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
+        EXPECT_EQ(pkt->bytes, 1460u);
+        ++got;
+    });
+    cell.run(10.0, 100);
+    EXPECT_EQ(got, 100);
+}
+
+TEST(Scenarios, NfCellForwardsTheTraceWhileTheProbeRuns)
+{
+    setQuiet(true);
+    NfCell cell(NicKind::NetDimm, NfKind::L3Forward, "box");
+    cell.run(ClusterType::Webserver, 10.0, 1, 100);
+    EXPECT_EQ(cell.net.rx.name(), "box");
+    EXPECT_EQ(cell.harness.forwarded(), 100u);
+    EXPECT_GT(cell.probe.accesses(), 0u);
 }
