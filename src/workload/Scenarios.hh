@@ -1,16 +1,8 @@
 /**
  * @file
- * The evaluation's two-node scenarios, each defined once and run by
- * every program that measures it:
- *
- *  - FabricPair::replay: the Fig. 12(a) trace replay, a sender and a
- *    receiver on one ClosFabric.
- *  - OfferedLoadCell: an MTU Poisson train at an offered rate between
- *    two nodes on one EthLink (latency vs load, the sim_speedup
- *    campaign).
- *  - NfCell: the Fig. 12(b) cell, a generator feeding a network
- *    function box over a ClosFabric while a memory-latency probe
- *    co-runs on the box.
+ * The evaluation's two-node scenarios, each defined once: the
+ * Fig. 12(a) replay (FabricPair::replay), the offered-load cell
+ * (OfferedLoadCell) and the Fig. 12(b) NF cell (NfCell).
  *
  * A scenario builds the system and drives its traffic; it measures
  * nothing. Callers install a receive handler on the exposed nodes (or
