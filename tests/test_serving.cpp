@@ -88,6 +88,29 @@ TEST(RpcServing, DeterministicAcrossRuns)
     EXPECT_EQ(a.handlerBusFraction, b.handlerBusFraction);
 }
 
+TEST(RpcServing, HandlerCellEventsAndDigestArePinned)
+{
+    // A small NetDIMM+handlers cell at an even GET/PUT mix, so both
+    // opcodes run the on-DIMM KV body. Its executed-event count and
+    // RTT digest are pinned to recorded values: a refactor of the
+    // handler stage must move neither a single event nor a single
+    // sample.
+    SystemConfig base;
+    ServingParams p = smallCell(ServingPlacement::NetDimmHandlers);
+    p.getFraction = 0.5;
+    p.requests = 100;
+    p.warmup = 20;
+    ServingResult r = runServing(base, p);
+    EXPECT_EQ(r.handlerServed, r.sent);
+    EXPECT_EQ(r.events, 7069u);
+    EXPECT_EQ(r.rtt.digest(),
+              "lhist bits=7 n=100 min=1420593 max=2665643 "
+              "sum=154899500;982:1 983:10 984:30 985:17 986:7 987:6 "
+              "988:3 989:4 990:1 993:3 995:1 996:3 997:1 999:1 1005:1 "
+              "1006:1 1007:2 1012:1 1013:1 1016:1 1025:3 1027:1 "
+              "1041:1 ");
+}
+
 TEST(RpcServing, EventCountIsPositiveAndDeterministic)
 {
     SystemConfig base;
