@@ -12,8 +12,8 @@
  * at any --jobs.
  *
  * Self-checks (exit nonzero on violation):
- *  - zero-handler golden: a handler-enabled device with an EMPTY
- *    match table must reproduce the plain-NetDIMM cell bit-for-bit
+ *  - zero-handler golden: a handler-enabled device that serves NO
+ *    op must reproduce the plain-NetDIMM cell bit-for-bit
  *    (same RTT population digest, same counts);
  *  - offload win: at the highest swept QPS, NetDIMM+handlers must
  *    show a lower p99 than NetDIMM with host processing.
@@ -44,8 +44,6 @@ struct Spec
     ServingPlacement placement;
     MemArbPolicy arb;
     const char *policy; ///< printed policy column
-    /** StaticCap handler bus share; must bind to differentiate. */
-    double share = 0.2;
 };
 
 ServingParams
@@ -57,7 +55,6 @@ cellParams(const Spec &s, bool short_mode)
     p.requests = short_mode ? 1200 : 4000;
     p.warmup = short_mode ? 150 : 400;
     p.arb = s.arb;
-    p.handlerShare = s.share;
     return p;
 }
 
@@ -92,6 +89,8 @@ main(int argc, char **argv)
     SweepCli cli = parseSweepCli(argc, argv);
     const bool short_mode = cli.shortMode;
     SystemConfig base;
+    // StaticCap handler bus share; must bind to differentiate.
+    base.memCtrl.handlerBusShare = 0.2;
 
     // The host worker pool saturates near 1.1 MQPS; the handler
     // cores near 6 MQPS; the load generator's own TX path near
@@ -239,8 +238,10 @@ main(int argc, char **argv)
         };
         std::vector<SweepCell<ServingResult>> icells;
         for (const ISpec &is : ispecs) {
-            Spec s{qps, is.placement, is.arb, is.policy, is.share};
+            Spec s{qps, is.placement, is.arb, is.policy};
             ServingParams p = cellParams(s, short_mode);
+            SystemConfig cfg = base;
+            cfg.memCtrl.handlerBusShare = is.share;
             p.probe = is.corun;
             p.mlc = is.corun;
             // Fat values: 2 KB GETs make the handler class a real
@@ -250,7 +251,7 @@ main(int argc, char **argv)
             icells.push_back(
                 {std::string("interf ") + is.policy +
                      (is.corun ? "" : " idle"),
-                 [&base, p] { return runServing(base, p); }});
+                 [cfg, p] { return runServing(cfg, p); }});
         }
         std::vector<ServingResult> ir = runner.run(icells);
         std::printf("\n-- local-MC interference at %.1f MQPS "

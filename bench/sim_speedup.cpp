@@ -25,6 +25,11 @@
  *    (jobs-invariance); on a >=4-core machine the speedup gates at
  *    3x.
  *
+ * Replay, churn and campaign each run three times in one invocation.
+ * Every gate reads the median of its three runs, so one slow run on a
+ * shared machine cannot fail the build, and each phase's witnesses
+ * must be identical across the runs.
+ *
  * The binary overrides global operator new/delete to count heap
  * allocations inside the measured regions; `churn`/`pool` report
  * allocations per item, which must drop to ~0 in steady state with
@@ -32,19 +37,23 @@
  *
  * Output: a human table on stdout plus BENCH_simcore.json
  * (`--out FILE`) with events/sec, wall seconds, allocation counts
- * and peak RSS. With `--baseline FILE` the harness compares its
- * replay and churn events/sec against the committed baseline and
- * exits nonzero on a regression beyond `--tolerance` (default 0.20),
- * which is how CI gates simulator-core performance.
+ * and peak RSS; each phase reports its median run. With
+ * `--baseline FILE` the harness compares the median replay, churn
+ * and campaign rates against the committed baseline and exits
+ * nonzero on a regression beyond `--tolerance` (default 0.20), which
+ * is how CI gates simulator-core performance.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <new>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "PerfGate.hh"
 #include "harness/SweepRunner.hh"
@@ -134,6 +143,40 @@ using namespace netdimm;
 
 namespace
 {
+
+/** Timed runs of the replay, churn and campaign phases. */
+constexpr std::size_t kRuns = 3;
+
+/** Index of the median of @p v (odd size). */
+std::size_t
+medianIndex(const std::vector<double> &v)
+{
+    std::vector<std::size_t> idx(v.size());
+    std::iota(idx.begin(), idx.end(), std::size_t(0));
+    std::sort(idx.begin(), idx.end(),
+              [&v](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    return idx[idx.size() / 2];
+}
+
+/**
+ * True when every run's witness @p w matches the first run's; prints
+ * the failure otherwise. A deterministic phase must reproduce its
+ * witness exactly, whatever the wall clock did.
+ */
+bool
+sameAcrossRuns(const char *what, const std::vector<double> &w)
+{
+    for (double x : w) {
+        if (x != w[0]) {
+            std::fprintf(stderr,
+                         "FAIL: %s diverged across runs (%.9g vs "
+                         "%.9g) -- the phase is not deterministic\n",
+                         what, w[0], x);
+            return false;
+        }
+    }
+    return true;
+}
 
 struct PhaseResult
 {
@@ -391,28 +434,49 @@ main(int argc, char **argv)
     std::printf("=== simulator-core speed harness (%s mode) ===\n",
                 shortMode ? "short" : "full");
 
-    PhaseResult replay;
-    double lat_dnic = replayOnce(NicKind::Discrete, npackets, replay);
-    double lat_inic = replayOnce(NicKind::Integrated, npackets,
-                                 replay);
-    double lat_nd = replayOnce(NicKind::NetDimm, npackets, replay);
+    // -- replay: median run by events/sec ------------------------------
+    std::vector<PhaseResult> replays(kRuns);
+    std::vector<double> dnics, inics, nds, replayRates;
+    for (PhaseResult &r : replays) {
+        dnics.push_back(replayOnce(NicKind::Discrete, npackets, r));
+        inics.push_back(replayOnce(NicKind::Integrated, npackets, r));
+        nds.push_back(replayOnce(NicKind::NetDimm, npackets, r));
+        replayRates.push_back(r.eventsPerSec());
+    }
+    if (!sameAcrossRuns("replay dNIC witness", dnics) ||
+        !sameAcrossRuns("replay iNIC witness", inics) ||
+        !sameAcrossRuns("replay NetDIMM witness", nds))
+        return 1;
+    const PhaseResult &replay = replays[medianIndex(replayRates)];
+    const double lat_dnic = dnics[0], lat_inic = inics[0],
+                 lat_nd = nds[0];
     std::printf("replay  : %llu packets, %llu events, %.3fs, "
-                "%.3g ev/s, %.2f allocs/ev\n",
+                "%.3g ev/s, %.2f allocs/ev (median of %zu)\n",
                 (unsigned long long)replay.items,
                 (unsigned long long)replay.events, replay.wallS,
                 replay.eventsPerSec(),
-                double(replay.allocs) / double(replay.events));
+                double(replay.allocs) / double(replay.events), kRuns);
     std::printf("  witness mean latency (us): dNIC %.4f  iNIC %.4f  "
                 "NetDIMM %.4f\n",
                 lat_dnic, lat_inic, lat_nd);
 
-    PhaseResult churn = runChurn(churnFlows, churnRounds);
+    // -- churn: median run by events/sec -------------------------------
+    std::vector<PhaseResult> churns;
+    std::vector<double> cancels, churnRates;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        churns.push_back(runChurn(churnFlows, churnRounds));
+        cancels.push_back(double(churns.back().items));
+        churnRates.push_back(churns.back().eventsPerSec());
+    }
+    if (!sameAcrossRuns("churn cancel count", cancels))
+        return 1;
+    const PhaseResult &churn = churns[medianIndex(churnRates)];
     std::printf("churn   : %llu cancels, %llu events, %.3fs, "
-                "%.3g ev/s, %.4f allocs/ev\n",
+                "%.3g ev/s, %.4f allocs/ev (median of %zu)\n",
                 (unsigned long long)churn.items,
                 (unsigned long long)churn.events, churn.wallS,
                 churn.eventsPerSec(),
-                double(churn.allocs) / double(churn.events));
+                double(churn.allocs) / double(churn.events), kRuns);
 
     PhaseResult pool = runPool(poolObjects);
     std::printf("pool    : %llu objects, %.3fs, %.3g obj/s, "
@@ -421,21 +485,36 @@ main(int argc, char **argv)
                 pool.eventsPerSec(),
                 double(pool.allocs) / double(pool.items));
 
+    // -- campaign: the speedup floor and the cells/sec baseline each
+    // read their own median; the printed run is the median-speedup one.
     const int campPackets = shortMode ? 1200 : 4000;
-    CampaignResult camp = runCampaign(jobs, campPackets);
-    std::printf("campaign: %llu cells, jobs %u, seq %.3fs, par %.3fs, "
-                "%.2fx speedup, %.3g cells/s\n",
-                (unsigned long long)camp.cells, camp.jobs,
-                camp.wallSeq, camp.wallPar, camp.speedup(),
-                camp.cellsPerSec());
-    if (camp.witnessSeq != camp.witnessPar) {
-        std::fprintf(stderr,
-                     "FAIL: campaign witness diverged between jobs=1 "
-                     "and jobs=%u (%.9g vs %.9g) -- cells are not "
-                     "isolated\n",
-                     camp.jobs, camp.witnessSeq, camp.witnessPar);
-        return 1;
+    std::vector<CampaignResult> camps;
+    std::vector<double> campWitness, speedups, cellRates;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        camps.push_back(runCampaign(jobs, campPackets));
+        const CampaignResult &c = camps.back();
+        if (c.witnessSeq != c.witnessPar) {
+            std::fprintf(stderr,
+                         "FAIL: campaign witness diverged between "
+                         "jobs=1 and jobs=%u (%.9g vs %.9g) -- cells "
+                         "are not isolated\n",
+                         c.jobs, c.witnessSeq, c.witnessPar);
+            return 1;
+        }
+        campWitness.push_back(c.witnessSeq);
+        speedups.push_back(c.speedup());
+        cellRates.push_back(c.cellsPerSec());
     }
+    if (!sameAcrossRuns("campaign witness", campWitness))
+        return 1;
+    const CampaignResult &camp = camps[medianIndex(speedups)];
+    const double campSpeedup = camp.speedup();
+    const double campCellsPerSec = cellRates[medianIndex(cellRates)];
+    std::printf("campaign: %llu cells, jobs %u, seq %.3fs, par %.3fs, "
+                "%.2fx speedup, %.3g cells/s (medians of %zu)\n",
+                (unsigned long long)camp.cells, camp.jobs,
+                camp.wallSeq, camp.wallPar, campSpeedup,
+                campCellsPerSec, kRuns);
     std::printf("  witness sum latency (us): %.4f (jobs-invariant)\n",
                 camp.witnessSeq);
 
@@ -479,8 +558,8 @@ main(int argc, char **argv)
         (unsigned long long)churn.events, churn.wallS,
         (unsigned long long)churn.allocs,
         (unsigned long long)pool.items, pool.wallS,
-        (unsigned long long)pool.allocs, camp.cellsPerSec(),
-        camp.speedup(), (unsigned long long)camp.cells, camp.jobs,
+        (unsigned long long)pool.allocs, campCellsPerSec, campSpeedup,
+        (unsigned long long)camp.cells, camp.jobs,
         camp.wallSeq, camp.wallPar, camp.witnessSeq, rssKb);
     std::fclose(out);
     std::printf("wrote %s\n", cli.out.c_str());
@@ -490,7 +569,7 @@ main(int argc, char **argv)
             cli.baseline.c_str(),
             {{"replay_events_per_sec", replay.eventsPerSec()},
              {"churn_events_per_sec", churn.eventsPerSec()},
-             {"campaign_cells_per_sec", camp.cellsPerSec()}},
+             {"campaign_cells_per_sec", campCellsPerSec}},
             cli.tolerance, "events/sec regression");
         if (rc != 0)
             return rc;
@@ -498,13 +577,13 @@ main(int argc, char **argv)
 
     // Hard floor, independent of any baseline file: on a machine with
     // at least four workers the parallel campaign must beat the
-    // sequential run by 3x. Not applied below four jobs (a 1-core
-    // runner can only ever reach ~1x).
-    if (camp.jobs >= 4 && camp.speedup() < 3.0) {
+    // sequential run by 3x in the median run. Not applied below four
+    // jobs (a 1-core runner can only ever reach ~1x).
+    if (camp.jobs >= 4 && campSpeedup < 3.0) {
         std::fprintf(stderr,
-                     "FAIL: campaign speedup %.2fx at %u jobs is "
-                     "below the 3.0x floor\n",
-                     camp.speedup(), camp.jobs);
+                     "FAIL: median campaign speedup %.2fx at %u jobs "
+                     "is below the 3.0x floor\n",
+                     campSpeedup, camp.jobs);
         return 1;
     }
     return 0;

@@ -12,39 +12,27 @@ HandlerStage::HandlerStage(EventQueue &eq, std::string name,
     : SimObject(eq, std::move(name)), _cfg(cfg.handler),
       _pipeLatency(cfg.nicModel.pipelineLatency),
       _ctrlLatency(cfg.netdimm.controllerLatency),
-      _localBytes(local_bytes)
+      _localBytes(local_bytes), _mem(local_mem)
 {
     ND_ASSERT(_cfg.cores > 0 && _cfg.runQueueDepth > 0);
     _cores.resize(_cfg.cores);
     _kv.buckets = 1ull << 15;
     _kv.slots = 1ull << 15;
     _kv.valueBytes = 256;
-    _counterSlots = 4096;
     carveRegions();
-    _env = std::make_unique<HandlerEnv>(eq, local_mem, _cfg, _kv,
-                                        _counterBase, _counterSlots);
-    registerKernel(makeFilterKernel());
-    registerKernel(makeCounterKernel());
-    registerKernel(makeKvKernel());
 }
 
 void
 HandlerStage::carveRegions()
 {
-    // Data structures live at the top of the local DRAM, below the
+    // The KV store lives at the top of the local DRAM, above the
     // RX/TX buffer space the driver manages at the bottom.
-    Addr p = _localBytes;
     std::uint64_t values =
         _kv.slots * std::uint64_t(_kv.valueStride());
     std::uint64_t buckets = _kv.buckets * cachelineBytes;
-    std::uint64_t counters = _counterSlots * cachelineBytes;
-    ND_ASSERT(values + buckets + counters < _localBytes / 2);
-    p -= values;
-    _kv.valueBase = p;
-    p -= buckets;
-    _kv.bucketBase = p;
-    p -= counters;
-    _counterBase = p;
+    ND_ASSERT(values + buckets < _localBytes / 2);
+    _kv.valueBase = _localBytes - values;
+    _kv.bucketBase = _kv.valueBase - buckets;
 }
 
 void
@@ -65,50 +53,29 @@ HandlerStage::setFaultInjection(FaultDomain *domain,
     _faults = domain;
     if (!domain || !fc) {
         _faults = nullptr;
-        _hangProb = _crashProb = 0.0;
-        _env->setFaults(nullptr, 0.0);
+        _hangProb = _crashProb = _kvCorruptProb = 0.0;
         return;
     }
     _hangProb = fc->handlerHangProb;
     _crashProb = fc->handlerCrashProb;
+    _kvCorruptProb = fc->kvCorruptProb;
     _crashDetectCycles = fc->handlerCrashDetectCycles;
     _stallTimeout = fc->handlerStallTimeout;
     _watchdogPeriod = fc->handlerWatchdogPeriod;
-    _env->setFaults(domain, fc->kvCorruptProb);
 }
 
 void
-HandlerStage::registerKernel(std::unique_ptr<HandlerKernel> kernel)
+HandlerStage::serve(RpcOp op)
 {
-    ND_ASSERT(kernel);
-    for (auto &k : _kernels) {
-        if (std::string(k->name()) == kernel->name()) {
-            k = std::move(kernel);
-            return;
-        }
-    }
-    _kernels.push_back(std::move(kernel));
-}
-
-HandlerKernel *
-HandlerStage::kernel(const std::string &name)
-{
-    for (auto &k : _kernels)
-        if (name == k->name())
-            return k.get();
-    return nullptr;
+    ND_ASSERT(op == RpcOp::Get || op == RpcOp::Put);
+    _servedOps |= std::uint8_t(1u << unsigned(op));
 }
 
 bool
 HandlerStage::offer(const PacketPtr &pkt)
 {
-    if (_table.empty())
+    if (!(_servedOps & (1u << unsigned(pkt->rpcOp))))
         return false;
-    const MatchRule *rule = _table.lookup(*pkt);
-    if (!rule)
-        return false;
-    HandlerKernel *k = kernel(rule->kernel);
-    ND_ASSERT(k); // a rule must reference a registered kernel
 
     if (_busyCores >= _cfg.cores &&
         _queue.size() >= _cfg.runQueueDepth) {
@@ -117,7 +84,7 @@ HandlerStage::offer(const PacketPtr &pkt)
     }
 
     _accepted.inc();
-    _queue.push_back({pkt, k});
+    _queue.push_back(pkt);
     if (_queue.size() > _maxQueue.value())
         _maxQueue.inc(_queue.size() - _maxQueue.value());
     tryDispatch();
@@ -128,13 +95,13 @@ void
 HandlerStage::tryDispatch()
 {
     while (_busyCores < _cfg.cores && !_queue.empty()) {
-        Pending p = std::move(_queue.front());
+        PacketPtr pkt = std::move(_queue.front());
         _queue.pop_front();
         // Deadline-aware admission: a frame that cannot make its
         // deadline anyway is shed here, before it burns a core. The
         // client's timeout/retry machinery owns the request now.
-        if (_cfg.dropExpiredAtDispatch && p.pkt->rpcDeadline != 0 &&
-            curTick() + _cfg.dispatchMargin >= p.pkt->rpcDeadline) {
+        if (_cfg.dropExpiredAtDispatch && pkt->rpcDeadline != 0 &&
+            curTick() + _cfg.dispatchMargin >= pkt->rpcDeadline) {
             _shedExpired.inc();
             continue;
         }
@@ -143,17 +110,17 @@ HandlerStage::tryDispatch()
             ++core;
         ND_ASSERT(core < _cores.size());
         ++_busyCores;
-        startInvocation(core, std::move(p));
+        startInvocation(core, std::move(pkt));
     }
 }
 
 void
-HandlerStage::startInvocation(std::size_t core, Pending p)
+HandlerStage::startInvocation(std::size_t core, PacketPtr pkt)
 {
     Core &c = _cores[core];
     c.busy = true;
     c.startTick = curTick();
-    c.pkt = p.pkt;
+    c.pkt = std::move(pkt);
 
     // Fault rolls: exactly two uniforms per invocation whenever a
     // domain is wired, so the schedule never depends on the
@@ -169,7 +136,7 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
     }
 
     if (hang) {
-        // The core wedges mid-dispatch: no kernel, no completion.
+        // The core wedges mid-dispatch: no KV body, no completion.
         // Only the watchdog can free it.
         c.hung = true;
         _hangFaults.inc();
@@ -178,12 +145,12 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
     }
 
     // nNIC pipeline hands the frame over, nController routes it to
-    // the core, the core runs the dispatch trampoline; then the
-    // kernel body (cycles + memory accesses) runs to completion.
+    // the core, the core runs the dispatch trampoline; then the KV
+    // body (cycles + memory accesses) runs to completion.
     Tick lead = _pipeLatency + _ctrlLatency +
                 _cfg.cycles(_cfg.dispatchCycles);
     if (crash) {
-        // The kernel traps partway through: no memory traffic, the
+        // The body traps partway through: no memory traffic, the
         // frame bounces to the host once the trap is detected.
         c.crashed = true;
         _crashFaults.inc();
@@ -197,17 +164,60 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
 
     if (_faults)
         armWatchdog();
-    scheduleRel(lead, [this, p = std::move(p), core, gen = c.gen] {
-        p.kernel->run(*_env, p.pkt,
-                      [this, core, gen](HandlerResult r) {
-                          finishInvocation(core, gen, r);
-                      });
+    std::uint64_t h = handlerHash(c.pkt->rpcKey);
+    bool put = c.pkt->rpcOp == RpcOp::Put;
+    scheduleRel(lead, [this, core, gen = c.gen, h, put] {
+        runKv(core, gen, h, put);
     });
 }
 
 void
+HandlerStage::runKv(std::size_t core, std::uint64_t gen,
+                    std::uint64_t h, bool put)
+{
+    // Hash the key, read the bucket cacheline, then read (GET) or
+    // write (PUT) the value slot. Every access goes through the local
+    // nMC as handler-class traffic. Payload contents are not
+    // simulated, only where the bytes live and how long the core is
+    // busy.
+    Addr bucket = _kv.bucketAddr(h);
+    scheduleRel(_cfg.cycles(_cfg.kvCycles), [this, core, gen, h, put,
+                                             bucket] {
+        auto probe = makeMemRequest(
+            bucket, cachelineBytes, false, MemSource::Handler,
+            [this, core, gen, h, put](Tick) {
+                std::uint32_t bytes = _kv.valueBytes;
+                auto access = makeMemRequest(
+                    _kv.valueAddr(h), bytes, put, MemSource::Handler,
+                    [this, core, gen, put, bytes](Tick) {
+                        // A GET's value read runs a checksum verify:
+                        // a corrupt hit NACKs instead of replying.
+                        bool nack = !put && drawKvCorrupt();
+                        finishInvocation(core, gen,
+                                         nack  ? 0u
+                                         : put ? 64u
+                                               : bytes);
+                    });
+                _mem.access(access);
+            });
+        _mem.access(probe);
+    });
+}
+
+bool
+HandlerStage::drawKvCorrupt()
+{
+    if (!_faults)
+        return false;
+    bool hit = _faults->uniform() < _kvCorruptProb;
+    if (hit)
+        _faults->noteInjected();
+    return hit;
+}
+
+void
 HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
-                               HandlerResult r)
+                               std::uint32_t reply_bytes)
 {
     Core &c = _cores[core];
     if (c.gen != gen)
@@ -216,29 +226,20 @@ HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
     PacketPtr pkt = c.pkt;
     releaseCore(core);
 
-    switch (r.verdict) {
-      case HandlerVerdict::Drop:
-        _drops.inc();
-        break;
-      case HandlerVerdict::Deliver:
-        if (r.corruptNack) {
-            // Checksum verify failed: NACK, serve from the
-            // authoritative host store. This is the one recovery
-            // note for the injected corruption.
-            _corruptNacks.inc();
-            _faultFallbacks.inc();
-            if (_faults)
-                _faults->noteRecovered();
-        } else {
-            _toHost.inc();
-        }
+    if (reply_bytes == 0) {
+        // Checksum verify failed: NACK, serve from the authoritative
+        // host store. This is the one recovery note for the injected
+        // corruption.
+        _corruptNacks.inc();
+        _faultFallbacks.inc();
+        if (_faults)
+            _faults->noteRecovered();
         ND_ASSERT(_hostRx);
         _hostRx(pkt);
-        break;
-      case HandlerVerdict::Reply: {
+    } else {
         _replies.inc();
         PacketPtr resp =
-            makePacket(eventq(), std::max(r.replyBytes, 64u),
+            makePacket(eventq(), std::max(reply_bytes, 64u),
                        pkt->dstNode, pkt->srcNode);
         resp->flowId = pkt->flowId;
         resp->rpcOp = RpcOp::Resp;
@@ -251,12 +252,10 @@ HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
         resp->born = curTick();
         // The reply leaves through the nNIC TX pipeline; no host
         // descriptor, no driver, no DMA.
-        eventq().scheduleRel(_pipeLatency, [this, resp] {
+        scheduleRel(_pipeLatency, [this, resp] {
             ND_ASSERT(_tx);
             _tx(resp);
         });
-        break;
-      }
     }
 
     tryDispatch();
@@ -275,7 +274,7 @@ HandlerStage::powerCycle()
         if (faulted && _faults)
             _faults->noteRecovered();
     }
-    _table.clear();
+    _servedOps = 0;
 }
 
 void
@@ -322,7 +321,7 @@ HandlerStage::armWatchdog()
 void
 HandlerStage::watchdogTick()
 {
-    // Mirrors the PR 2 e1000 TX-hang watchdog: detect a stalled
+    // Mirrors the e1000 TX-hang watchdog: detect a stalled
     // core, drain the run queue to the host (the stage is suspect),
     // reset the core, rescue its frame onto the host path, book the
     // recovery against the injected fault.
@@ -333,11 +332,11 @@ HandlerStage::watchdogTick()
             continue;
         _watchdogResets.inc();
         while (!_queue.empty()) {
-            Pending p = std::move(_queue.front());
+            PacketPtr p = std::move(_queue.front());
             _queue.pop_front();
             _drainedToHost.inc();
             ND_ASSERT(_hostRx);
-            _hostRx(p.pkt);
+            _hostRx(p);
         }
         PacketPtr rescued = c.pkt;
         bool faulted = c.hung || c.crashed;

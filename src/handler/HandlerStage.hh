@@ -1,35 +1,33 @@
 /**
  * @file
- * The programmable handler stage of a NetDIMM device: a small pool
- * of wimpy in-order handler cores fed by a bounded run queue, with a
- * match table classifying RX frames before they touch the host RX
- * ring (Sec. "near-memory packet compute" of the roadmap; PsPIN-style
- * handlers, CHoNDA-style DRAM arbitration).
+ * The near-memory handler stage of a NetDIMM device: a small pool of
+ * wimpy in-order handler cores fed by a bounded run queue, serving
+ * KV GET/PUT RPCs straight from the DIMM before the frames touch the
+ * host RX ring (PsPIN-style handlers, CHoNDA-style DRAM arbitration;
+ * DESIGN.md §13).
  *
- * Life of a matched frame:
+ * Life of a served frame:
  *
- *   nNIC MAC -> match table (line rate) -> run queue -> handler core
- *     -> dispatch cycles -> kernel (cycles + nMC accesses tagged
- *        MemSource::Handler) -> verdict
+ *   nNIC MAC -> served-op check (line rate) -> run queue -> handler
+ *     core -> dispatch cycles -> KV body (kvCycles, bucket probe,
+ *     value access; nMC accesses tagged MemSource::Handler) -> reply
  *
- * Drop consumes the frame on the DIMM; Reply builds a response frame
- * and transmits it through the nNIC without ever waking the host;
- * Deliver falls through to the normal host RX path. A full run queue
- * (all cores busy) refuses the frame at classification time — the
- * frame takes the host path and the overflow is counted, so handler
- * offload degrades gracefully instead of dropping load.
+ * The reply leaves through the nNIC without ever waking the host. A
+ * full run queue (all cores busy) refuses the frame at offer() time —
+ * the frame takes the host path and the overflow is counted, so
+ * handler offload degrades gracefully instead of dropping load.
  *
  * Reliability (DESIGN.md §14): with a fault domain wired, each
  * invocation rolls hang (core wedges, never completes) and crash
- * (kernel traps, frame bounces to the host) faults, and the KV
- * kernel's GET value reads roll checksum corruption (NACK + host
- * fallback). A handler-core watchdog mirrors PR 2's e1000 TX-hang
- * watchdog: detect a stalled core, drain the run queue to the host,
- * reset the core, hand its frame to the host, book the recovery.
- * Every injected fault is recovered exactly once — crash/corrupt by
- * the host-path fallback, hang by the watchdog reset — so campaign
- * ledgers close. Deadline-aware admission (dropExpiredAtDispatch)
- * sheds queued frames whose rpcDeadline cannot be met.
+ * (the body traps, frame bounces to the host) faults, and GET value
+ * reads roll checksum corruption (NACK + host fallback). A
+ * handler-core watchdog mirrors the e1000 TX-hang watchdog: detect a
+ * stalled core, drain the run queue to the host, reset the core,
+ * hand its frame to the host, book the recovery. Every injected
+ * fault is recovered exactly once — crash/corrupt by the host-path
+ * fallback, hang by the watchdog reset — so campaign ledgers close.
+ * Deadline-aware admission (dropExpiredAtDispatch) sheds queued
+ * frames whose rpcDeadline cannot be met.
  *
  * Everything here is deterministic: no free-running randomness, costs
  * from HandlerConfig, addresses from packet fields, fault schedules a
@@ -40,17 +38,62 @@
 #define NETDIMM_HANDLER_HANDLERSTAGE_HH
 
 #include <deque>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "handler/HandlerKernel.hh"
-#include "handler/MatchTable.hh"
+#include "mem/MemoryController.hh"
+#include "net/Packet.hh"
 #include "sim/SimObject.hh"
 #include "sim/Stats.hh"
 
 namespace netdimm
 {
+
+/**
+ * Address layout of the on-DIMM KV store: a bucket array (one
+ * cacheline per bucket) plus a value slab, carved from the top of the
+ * local DRAM by HandlerStage::configureKv(). Only addresses are
+ * modelled, not contents.
+ */
+struct KvLayout
+{
+    Addr bucketBase = 0;
+    std::uint64_t buckets = 1;
+    Addr valueBase = 0;
+    std::uint64_t slots = 1;
+    std::uint32_t valueBytes = 256;
+
+    /** Value slot stride, cacheline aligned. */
+    std::uint32_t
+    valueStride() const
+    {
+        return (valueBytes + cachelineBytes - 1) &
+               ~(cachelineBytes - 1);
+    }
+
+    Addr
+    bucketAddr(std::uint64_t hash) const
+    {
+        return bucketBase + (hash % buckets) * cachelineBytes;
+    }
+
+    Addr
+    valueAddr(std::uint64_t hash) const
+    {
+        return valueBase + (hash % slots) * valueStride();
+    }
+};
+
+/** splitmix64 finalizer: deterministic key hashing. */
+inline std::uint64_t
+handlerHash(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
 
 class HandlerStage : public SimObject
 {
@@ -62,8 +105,8 @@ class HandlerStage : public SimObject
 
     /**
      * @param local_mem the NetDIMM's local memory controller.
-     * @param local_bytes local DRAM capacity; the KV / counter
-     *        regions are carved from its top.
+     * @param local_bytes local DRAM capacity; the KV regions are
+     *        carved from its top.
      */
     HandlerStage(EventQueue &eq, std::string name,
                  const SystemConfig &cfg, MemTarget &local_mem,
@@ -72,14 +115,10 @@ class HandlerStage : public SimObject
     void setTx(TxFn tx) { _tx = std::move(tx); }
     void setHostRx(HostRxFn rx) { _hostRx = std::move(rx); }
 
-    MatchTable &table() { return _table; }
-    const MatchTable &table() const { return _table; }
-
-    /** Register @p kernel under its name() (replaces an existing
-     *  registration of the same name). */
-    void registerKernel(std::unique_ptr<HandlerKernel> kernel);
-    /** Registered kernel by name; nullptr when unknown. */
-    HandlerKernel *kernel(const std::string &name);
+    /** Serve @p op (Get or Put) on the handler cores from now on. */
+    void serve(RpcOp op);
+    /** True while at least one op is served. */
+    bool serving() const { return _servedOps != 0; }
 
     /**
      * Size the on-DIMM KV store (bucket array + value slab at the
@@ -104,9 +143,9 @@ class HandlerStage : public SimObject
     FaultDomain *faultDomain() { return _faults; }
 
     /**
-     * Classify @p pkt at RX. @return true when the stage consumed it
-     * (queued on a handler core); false when no rule matched or the
-     * run queue overflowed — the caller delivers to the host.
+     * Offer @p pkt at RX. @return true when the stage consumed it
+     * (queued on a handler core); false when its op is not served or
+     * the run queue overflowed — the caller delivers to the host.
      */
     bool offer(const PacketPtr &pkt);
 
@@ -114,32 +153,28 @@ class HandlerStage : public SimObject
      * Whole-node power loss: queued frames and in-flight invocations
      * vanish (no host fallback — the host died too), every core
      * resets with a generation bump so in-flight completions go
-     * stale, and the match table empties until the cold-boot path
-     * reinstalls it. A core wedged by an *injected* handler fault
-     * books its recovery here (the power cycle cleared it); the
-     * node-level crash itself is the caller's ledger entry.
+     * stale, and the stage serves no op until the cold-boot path
+     * calls serve() again. A core wedged by an *injected* handler
+     * fault books its recovery here (the power cycle cleared it);
+     * the node-level crash itself is the caller's ledger entry.
      */
     void powerCycle();
 
     // -- statistics ---------------------------------------------------
     /** Frames accepted into the run queue. */
     std::uint64_t accepted() const { return _accepted.value(); }
-    /** Matched frames refused because the stage was saturated. */
+    /** Served-op frames refused because the stage was saturated. */
     std::uint64_t overflows() const { return _overflows.value(); }
-    /** Kernel invocations completed. */
+    /** KV invocations completed (replies plus corrupt NACKs). */
     std::uint64_t invocations() const { return _invocations.value(); }
-    /** Frames consumed with the Drop verdict. */
-    std::uint64_t drops() const { return _drops.value(); }
     /** Reply frames transmitted from the DIMM. */
     std::uint64_t replies() const { return _replies.value(); }
-    /** Frames the kernel bounced to the host (Deliver verdict). */
-    std::uint64_t toHost() const { return _toHost.value(); }
     /** Queued frames shed at dispatch: deadline already (or about to
-     *  be) blown, so running a kernel would be wasted work. */
+     *  be) blown, so running the KV body would be wasted work. */
     std::uint64_t shedExpired() const { return _shedExpired.value(); }
     /** Injected core-hang faults (invocation wedged until reset). */
     std::uint64_t hangFaults() const { return _hangFaults.value(); }
-    /** Injected kernel-crash faults (host-path fallback). */
+    /** Injected crash faults (host-path fallback). */
     std::uint64_t crashFaults() const { return _crashFaults.value(); }
     /** KV checksum-verify failures NACKed to the host path. */
     std::uint64_t corruptNacks() const
@@ -172,12 +207,6 @@ class HandlerStage : public SimObject
     std::uint32_t cores() const { return _cfg.cores; }
 
   private:
-    struct Pending
-    {
-        PacketPtr pkt;
-        HandlerKernel *kernel;
-    };
-
     /** One wimpy in-order handler core. */
     struct Core
     {
@@ -197,18 +226,16 @@ class HandlerStage : public SimObject
     const Tick _pipeLatency;
     const Tick _ctrlLatency;
     const std::uint64_t _localBytes;
+    MemTarget &_mem;
 
-    MatchTable _table;
-    std::vector<std::unique_ptr<HandlerKernel>> _kernels;
+    /** Served ops, one bit per RpcOp value. */
+    std::uint8_t _servedOps = 0;
     KvLayout _kv;
-    Addr _counterBase = 0;
-    std::uint64_t _counterSlots = 0;
-    std::unique_ptr<HandlerEnv> _env;
 
     TxFn _tx;
     HostRxFn _hostRx;
 
-    std::deque<Pending> _queue;
+    std::deque<PacketPtr> _queue;
     std::vector<Core> _cores;
     std::uint32_t _busyCores = 0;
     Tick _busyTicks = 0;
@@ -217,23 +244,34 @@ class HandlerStage : public SimObject
     FaultDomain *_faults = nullptr;
     double _hangProb = 0.0;
     double _crashProb = 0.0;
+    double _kvCorruptProb = 0.0;
     std::uint64_t _crashDetectCycles = 0;
     Tick _stallTimeout = 0;
     Tick _watchdogPeriod = 0;
     bool _watchdogArmed = false;
 
     stats::Scalar _accepted, _overflows, _invocations;
-    stats::Scalar _drops, _replies, _toHost, _maxQueue;
+    stats::Scalar _replies, _maxQueue;
     stats::Scalar _shedExpired, _hangFaults, _crashFaults;
     stats::Scalar _corruptNacks, _watchdogResets, _drainedToHost;
     stats::Scalar _faultFallbacks;
 
-    /** Carve counter + KV regions from the top of local DRAM. */
+    /** Carve the KV regions from the top of local DRAM. */
     void carveRegions();
     void tryDispatch();
-    void startInvocation(std::size_t core, Pending p);
+    void startInvocation(std::size_t core, PacketPtr pkt);
+    /** The KV body: kvCycles, bucket probe, value access. */
+    void runKv(std::size_t core, std::uint64_t gen, std::uint64_t h,
+               bool put);
+    /**
+     * One checksum-verify decision on a KV value read. Draws exactly
+     * one uniform from the fault domain whenever one is wired; books
+     * the injection on a hit so the ledger demands a recovery.
+     */
+    bool drawKvCorrupt();
+    /** @p reply_bytes 0 = checksum verify failed: NACK to the host. */
     void finishInvocation(std::size_t core, std::uint64_t gen,
-                          HandlerResult r);
+                          std::uint32_t reply_bytes);
     /** Crash-fault trap: bounce the frame to the host, free core. */
     void abortInvocation(std::size_t core, std::uint64_t gen);
     void releaseCore(std::size_t core);

@@ -308,9 +308,7 @@ Node::printStats(std::ostream &os) const
             h.add("accepted", double(hs->accepted()));
             h.add("overflows", double(hs->overflows()));
             h.add("invocations", double(hs->invocations()));
-            h.add("drops", double(hs->drops()));
             h.add("replies", double(hs->replies()));
-            h.add("toHost", double(hs->toHost()));
             h.add("shedExpired", double(hs->shedExpired()));
             h.add("hangFaults", double(hs->hangFaults()));
             h.add("crashFaults", double(hs->crashFaults()));

@@ -96,7 +96,7 @@ class Node : public SimObject
      * Whole-node power failure: the access link drops carrier (PR 3
      * epoch rule kills frames in flight), the driver loses its
      * in-flight descriptors and pending RX work, and the device's
-     * volatile state (nCache, handler queue/cores/match table) is
+     * volatile state (nCache, handler queue/cores/served ops) is
      * wiped. Books nothing — the caller's crash domain owns the
      * ledger entry.
      */

@@ -16,7 +16,7 @@ MemoryController::MemoryController(EventQueue &eq, std::string name,
 {
     _drainHi = std::size_t(_cfg.writeDrainFraction *
                            double(_cfg.writeQueueDepth));
-    _handlerShare =
+    _handlerBusShare =
         std::min(1.0, std::max(0.01, _cfg.handlerBusShare));
     _probeId = eq.registerHealthProbe(this->name(), [this] {
         return std::uint64_t(_readQ.size() + _writeQ.size());
@@ -198,7 +198,7 @@ MemoryController::capAllowedTick() const
 {
     // Handler beats are admitted while handlerBusTicks <= share *
     // now, i.e. from tick ceil(handlerBusTicks / share) onward.
-    double t = double(_handlerBusTicks) / _handlerShare;
+    double t = double(_handlerBusTicks) / _handlerBusShare;
     Tick at = Tick(t);
     return double(at) < t ? at + 1 : at;
 }

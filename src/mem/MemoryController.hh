@@ -213,7 +213,7 @@ class MemoryController : public SimObject, public MemTarget
     mutable bool _fairNext = false;
     /** StaticCap budget numerator, clamped share in [0.01, 1]. */
     Tick _handlerBusTicks = 0;
-    double _handlerShare = 1.0;
+    double _handlerBusShare = 1.0;
 
     TraceHook _trace;
     FaultDomain *_faultDomain = nullptr;

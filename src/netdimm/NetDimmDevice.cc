@@ -236,9 +236,9 @@ NetDimmDevice::powerFail()
 void
 NetDimmDevice::rxPath(const PacketPtr &pkt)
 {
-    // The handler stage classifies at line rate in the nNIC parser;
-    // a matched frame with a free run-queue slot never touches the
-    // host RX ring. Overflow and non-matching frames fall through.
+    // The handler stage checks the op at line rate in the nNIC
+    // parser; a served frame with a free run-queue slot never touches
+    // the host RX ring. Overflow and unserved frames fall through.
     if (_handlers && _handlers->offer(pkt))
         return;
     hostDeliver(pkt);

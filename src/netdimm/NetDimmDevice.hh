@@ -86,7 +86,7 @@ class NetDimmDevice final : public NvdimmPDevice, public NicDevice
 
     /**
      * Whole-node power failure: on top of the nNIC going dead, the
-     * nCache SRAM and the handler stage (queue, cores, match table)
+     * nCache SRAM and the handler stage (queue, cores, served ops)
      * are wiped. The cold-boot reset() clears the condition.
      */
     void powerFail() override;

@@ -338,8 +338,8 @@ struct NetDimmConfig
 
 /**
  * Near-memory packet handler stage (src/handler): a pool of wimpy
- * in-order cores on the buffer device running registered per-packet
- * kernels (PsPIN-style), fed by a match table in the nNIC RX path.
+ * in-order cores on the buffer device serving KV GET/PUT RPCs
+ * (PsPIN-style), fed by a served-op check in the nNIC RX path.
  * Cycle counts are charged at the handler-core clock; DRAM accesses
  * go through the local nMC tagged MemSource::Handler so they
  * arbitrate against concurrent host traffic (MemArbPolicy).
@@ -354,12 +354,8 @@ struct HandlerConfig
     double freqGhz = 1.2;
     /** Bounded run queue; overflow falls back to host delivery. */
     std::uint32_t runQueueDepth = 16;
-    /** Match + schedule cost per accepted packet, in cycles. */
+    /** Dispatch + schedule cost per accepted packet, in cycles. */
     std::uint64_t dispatchCycles = 40;
-    /** filter/drop kernel body, in cycles. */
-    std::uint64_t filterCycles = 30;
-    /** counter-aggregation body (plus one 64B RMW via nMC). */
-    std::uint64_t counterCycles = 60;
     /** KV GET/PUT body (plus bucket + value accesses via nMC). */
     std::uint64_t kvCycles = 120;
     /**

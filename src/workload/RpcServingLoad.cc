@@ -216,7 +216,7 @@ class ServingSim
         service(const PacketPtr &req)
         {
             // Hash-bucket probe, then the value itself, then compute;
-            // same shape as the on-DIMM kernel but through the host
+            // same shape as the on-DIMM KV body but through the host
             // LLC and channel controllers.
             std::uint64_t h = handlerHash(req->rpcKey);
             std::uint64_t g = gen;
@@ -580,7 +580,7 @@ class ServingSim
         }
 
         /** Re-sync complete: back into the serve set. On the handler
-         *  placement this is also where the match rules return -- a
+         *  placement this is also where the served ops return -- a
          *  resyncing node must not serve stale GETs from its wimpy
          *  cores. */
         void
@@ -589,7 +589,7 @@ class ServingSim
             resyncing = false;
             downTicks += sim.eq.curTick() - downStart;
             if (sim.offload)
-                sim.addKvRules(node);
+                sim.serveKvOps(node);
         }
     };
 
@@ -621,7 +621,7 @@ class ServingSim
     void armHedge(std::uint64_t key);
     void onReply(const PacketPtr &pkt, Tick now);
     bool clusterHealthy() const;
-    void addKvRules(Node &n) const;
+    void serveKvOps(Node &n) const;
 
     // -- configuration / fixed geometry ---------------------------------
     ServingParams p;
@@ -692,7 +692,6 @@ ServingSim::ServingSim(const SystemConfig &base,
         cfg.nic = NicKind::NetDimm;
         cfg.handler.enabled = true;
         cfg.memCtrl.handlerArb = p.arb;
-        cfg.memCtrl.handlerBusShare = p.handlerShare;
         // One knob arms deadline-aware shedding on both dequeue
         // points: the host worker pool and the handler run queue.
         if (p.dropExpiredAtDequeue) {
@@ -760,8 +759,8 @@ ServingSim::ServingSim(const SystemConfig &base,
                             vb);
         };
         configure();
-        addKvRules(*n);
-        // Cold boot replays the device-side KV setup; the match rules
+        serveKvOps(*n);
+        // Cold boot replays the device-side KV setup; the served ops
         // wait for rejoin() so a resyncing node cannot serve.
         n->setColdBootHook(configure);
     }
@@ -830,18 +829,18 @@ ServingSim::clusterHealthy() const
     return true;
 }
 
-/** Install the handler stage's KV match rules on @p n. A PUT reaches
+/** Serve KV ops on @p n's handler stage. A PUT reaches
  *  the wimpy cores only when it needs no coordinator: a write with
  *  backups carries a version and a replication fan-out, which stay on
  *  the host path. */
 void
-ServingSim::addKvRules(Node &n) const
+ServingSim::serveKvOps(Node &n) const
 {
     HandlerStage *hs = n.netdimm()->handlers();
     ND_ASSERT(hs);
-    hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+    hs->serve(RpcOp::Get);
     if (cl.replication == 1)
-        hs->table().add(MatchRule::onOp(RpcOp::Put, "kv"));
+        hs->serve(RpcOp::Put);
 }
 
 void

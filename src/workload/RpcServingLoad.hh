@@ -15,7 +15,7 @@
  *    services each request (hash-bucket read + value read/write via
  *    cpuAccess over a 64-page working set, plus 6000 cycles of
  *    compute) and transmits the reply through the normal TX path.
- *  - NetDimmHandlers: the NetDIMM handler stage intercepts matched
+ *  - NetDimmHandlers: the NetDIMM handler stage intercepts
  *    GET/PUT frames in the nNIC parser and serves them from local
  *    DRAM on the wimpy handler cores; run-queue overflow falls back
  *    to the same host worker pool.
@@ -116,13 +116,10 @@ struct ServingParams
     // -- handler placement only ---------------------------------------
     /** nMC arbitration between handler and host/nNIC traffic. */
     MemArbPolicy arb = MemArbPolicy::HostPriority;
-    /** Handler bus share under MemArbPolicy::StaticCap. */
-    double handlerShare = 0.5;
     /**
-     * Leave the match table empty: the stage is built but classifies
-     * nothing, so every frame takes the plain host path. Used by the
-     * zero-handler golden check (must be byte-identical to
-     * NetDimmHost).
+     * Serve no op: the stage is built but takes no frame, so every
+     * frame takes the plain host path. Used by the zero-handler
+     * golden check (must be byte-identical to NetDimmHost).
      */
     bool emptyMatchTable = false;
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the near-memory handler stage: match-table
- * semantics, run-queue admission and overflow fallback, the built-in
- * filter / counter / KV kernels, and the MemoryController's
+ * Unit tests for the near-memory handler stage: the served-op set,
+ * run-queue admission and overflow fallback, the on-DIMM KV body,
+ * handler fault injection and recovery, and the MemoryController's
  * handler-class arbitration policies.
  */
 
@@ -69,34 +69,6 @@ struct Fixture
 
 } // namespace
 
-TEST(MatchTable, FirstMatchWinsAndWildcards)
-{
-    MatchTable t;
-    EXPECT_TRUE(t.empty());
-    t.add(MatchRule::onFlow(7, "filter"));
-    t.add(MatchRule::onOp(RpcOp::Get, "kv"));
-    t.add(MatchRule::all("counter"));
-    EXPECT_EQ(t.size(), 3u);
-
-    Packet p;
-    p.flowId = 7;
-    p.rpcOp = RpcOp::Get;
-    // Flow rule is narrower and installed first: it wins even though
-    // the op rule also matches.
-    ASSERT_NE(t.lookup(p), nullptr);
-    EXPECT_EQ(t.lookup(p)->kernel, "filter");
-
-    p.flowId = 3;
-    EXPECT_EQ(t.lookup(p)->kernel, "kv");
-
-    p.rpcOp = RpcOp::Put;
-    EXPECT_EQ(t.lookup(p)->kernel, "counter");
-
-    t.clear();
-    EXPECT_EQ(t.lookup(p), nullptr);
-    EXPECT_GT(t.lookups(), t.matches());
-}
-
 TEST(HandlerStage, EmptyTableConsumesNothing)
 {
     Fixture f;
@@ -108,42 +80,38 @@ TEST(HandlerStage, EmptyTableConsumesNothing)
     EXPECT_TRUE(f.hosted.empty());
 }
 
-TEST(HandlerStage, FilterKernelDropsMatchedFrames)
+TEST(HandlerStage, ServesOnlyTheConfiguredOps)
 {
     Fixture f;
-    f.hs.table().add(MatchRule::onFlow(9, "filter"));
-    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::None, 1, /*flow=*/9)));
-    EXPECT_FALSE(f.hs.offer(f.packet(RpcOp::None, 2, /*flow=*/8)));
+    f.hs.serve(RpcOp::Get);
+    EXPECT_TRUE(f.hs.serving());
+
+    // An unserved op is refused at offer() time, and the refusal is
+    // not an overflow: the stage had room, it just does not serve it.
+    EXPECT_FALSE(f.hs.offer(f.packet(RpcOp::Put, 1, 1, 256)));
+    EXPECT_EQ(f.hs.overflows(), 0u);
+    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 2)));
     f.eq.run();
     EXPECT_EQ(f.hs.accepted(), 1u);
-    EXPECT_EQ(f.hs.invocations(), 1u);
-    EXPECT_EQ(f.hs.drops(), 1u);
-    EXPECT_TRUE(f.txed.empty());
+    ASSERT_EQ(f.txed.size(), 1u);
+    EXPECT_EQ(f.txed[0]->rpcKey, 2u);
     EXPECT_TRUE(f.hosted.empty());
-    // The filter body costs cycles: the stage was busy a while.
-    EXPECT_GT(f.hs.busyTicks(), Tick(0));
-}
 
-TEST(HandlerStage, CounterKernelTouchesDramAndDrops)
-{
-    Fixture f;
-    f.hs.table().add(MatchRule::all("counter"));
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::None, i, i)));
-    f.eq.run();
-    EXPECT_EQ(f.hs.invocations(), 4u);
-    EXPECT_EQ(f.hs.drops(), 4u);
-    // Each invocation is a 64B read-modify-write on the counter
-    // table: 2 beats per packet, all tagged as handler traffic.
-    EXPECT_EQ(f.mc.handlerBeats(), 8u);
+    // A power cycle clears the set: nothing is served any more.
+    f.hs.powerCycle();
+    EXPECT_FALSE(f.hs.serving());
+    EXPECT_FALSE(f.hs.offer(f.packet(RpcOp::Get, 3)));
+    EXPECT_FALSE(f.hs.offer(f.packet(RpcOp::Put, 4, 1, 256)));
+    EXPECT_EQ(f.hs.accepted(), 1u);
+    EXPECT_EQ(f.hs.overflows(), 0u);
 }
 
 TEST(HandlerStage, KvKernelRepliesFromTheDimm)
 {
     Fixture f;
     f.hs.configureKv(1u << 10, 1u << 10, 256);
-    f.hs.table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-    f.hs.table().add(MatchRule::onOp(RpcOp::Put, "kv"));
+    f.hs.serve(RpcOp::Get);
+    f.hs.serve(RpcOp::Put);
 
     EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 42)));
     EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Put, 43, 1, 256)));
@@ -169,13 +137,13 @@ TEST(HandlerStage, RunQueueOverflowFallsBackToHost)
         c.handler.cores = 1;
         c.handler.runQueueDepth = 2;
     });
-    f.hs.table().add(MatchRule::all("filter"));
+    f.hs.serve(RpcOp::Get);
 
     // Capacity is cores + queue depth = 3 in-flight frames; the rest
     // must be refused at classification time, not dropped.
     int accepted = 0, refused = 0;
     for (int i = 0; i < 8; ++i) {
-        if (f.hs.offer(f.packet(RpcOp::None, i)))
+        if (f.hs.offer(f.packet(RpcOp::Get, i)))
             ++accepted;
         else
             ++refused;
@@ -197,12 +165,12 @@ TEST(HandlerFaults, CrashFallsBackToHostAndClosesLedger)
     });
     FaultDomain dom("t.handler", 1);
     f.hs.setFaultInjection(&dom, &f.cfg.faults);
-    f.hs.table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+    f.hs.serve(RpcOp::Get);
 
     EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 7)));
     f.eq.run();
 
-    // The kernel trapped: no reply, the frame bounced to the host,
+    // The KV body trapped: no reply, the frame bounced to the host,
     // and the injected fault was booked recovered exactly once.
     EXPECT_EQ(f.hs.crashFaults(), 1u);
     EXPECT_EQ(f.hs.faultFallbacks(), 1u);
@@ -225,11 +193,11 @@ TEST(HandlerFaults, HangRecoveredByWatchdogWithQueueDrain)
     });
     FaultDomain dom("t.handler", 1);
     f.hs.setFaultInjection(&dom, &f.cfg.faults);
-    f.hs.table().add(MatchRule::all("filter"));
+    f.hs.serve(RpcOp::Get);
 
     // First frame wedges the only core; the second waits behind it.
-    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::None, 1)));
-    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::None, 2)));
+    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 1)));
+    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 2)));
     f.eq.run();
 
     // The watchdog reset the core, rescued the wedged frame AND
@@ -250,8 +218,8 @@ TEST(HandlerFaults, KvCorruptionNacksGetsButNotPuts)
     });
     FaultDomain dom("t.handler", 1);
     f.hs.setFaultInjection(&dom, &f.cfg.faults);
-    f.hs.table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-    f.hs.table().add(MatchRule::onOp(RpcOp::Put, "kv"));
+    f.hs.serve(RpcOp::Get);
+    f.hs.serve(RpcOp::Put);
 
     EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 1)));
     EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Put, 2, 1, 256)));
@@ -283,7 +251,7 @@ TEST(HandlerFaults, WatchdogBeatsCrashTrapWithoutDoubleCount)
     });
     FaultDomain dom("t.handler", 1);
     f.hs.setFaultInjection(&dom, &f.cfg.faults);
-    f.hs.table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+    f.hs.serve(RpcOp::Get);
 
     EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 5)));
     f.eq.run();
@@ -310,9 +278,9 @@ TEST(HandlerFaults, HangAndCrashRollsInjectAtMostOneFault)
     });
     FaultDomain dom("t.handler", 1);
     f.hs.setFaultInjection(&dom, &f.cfg.faults);
-    f.hs.table().add(MatchRule::all("filter"));
+    f.hs.serve(RpcOp::Get);
 
-    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::None, 1)));
+    EXPECT_TRUE(f.hs.offer(f.packet(RpcOp::Get, 1)));
     f.eq.run();
 
     EXPECT_EQ(f.hs.hangFaults(), 1u);
@@ -332,8 +300,8 @@ TEST(HandlerFaults, ZeroRateWiringIsByteIdentical)
         FaultDomain dom("t.handler", 1);
         if (wired)
             f.hs.setFaultInjection(&dom, &f.cfg.faults);
-        f.hs.table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-        f.hs.table().add(MatchRule::onOp(RpcOp::Put, "kv"));
+        f.hs.serve(RpcOp::Get);
+        f.hs.serve(RpcOp::Put);
         std::vector<std::pair<std::uint64_t, Tick>> out;
         f.hs.setTx([&f, &out](const PacketPtr &p) {
             out.emplace_back(p->rpcKey, f.eq.curTick());
@@ -355,10 +323,10 @@ TEST(HandlerStage, DispatchShedsExpiredDeadlines)
         c.handler.dropExpiredAtDispatch = true;
         c.handler.dispatchMargin = 0;
     });
-    f.hs.table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+    f.hs.serve(RpcOp::Get);
 
     // First frame occupies the core; the second is already dead when
-    // the core frees, so it must be shed without running a kernel.
+    // the core frees, so it must be shed without running the KV body.
     PacketPtr live = f.packet(RpcOp::Get, 1);
     PacketPtr dead = f.packet(RpcOp::Get, 2);
     dead->rpcDeadline = 1; // expires at tick 1, long before dispatch

@@ -91,15 +91,15 @@ TEST(NodeLifecycle, CrashWipesDeviceStateAndColdBootHookReplays)
     HandlerStage *hs = s.server->netdimm()->handlers();
     ASSERT_NE(hs, nullptr);
     hs->configureKv(1u << 10, 1u << 10, 128);
-    hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-    ASSERT_FALSE(hs->table().empty());
+    hs->serve(RpcOp::Get);
+    ASSERT_TRUE(hs->serving());
 
     int hookRuns = 0;
     s.server->setColdBootHook([&] {
         ++hookRuns;
         HandlerStage *h = s.server->netdimm()->handlers();
         h->configureKv(1u << 10, 1u << 10, 128);
-        h->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+        h->serve(RpcOp::Get);
     });
 
     // Prime the nCache with one delivered frame, then crash.
@@ -107,15 +107,15 @@ TEST(NodeLifecycle, CrashWipesDeviceStateAndColdBootHookReplays)
     s.eq.schedule(usToTicks(20), [&] { s.server->crash(); });
     s.eq.run();
 
-    // Power-fail semantics: match table gone, nCache empty.
-    EXPECT_TRUE(hs->table().empty());
+    // Power-fail semantics: served ops gone, nCache empty.
+    EXPECT_FALSE(hs->serving());
     EXPECT_EQ(s.server->netdimm()->ncache().occupancy(), 0u);
     EXPECT_FALSE(s.server->alive());
     EXPECT_EQ(hookRuns, 0);
 
     s.server->restart();
     EXPECT_EQ(hookRuns, 1);
-    EXPECT_FALSE(hs->table().empty()); // hook reinstalled the rule
+    EXPECT_TRUE(hs->serving()); // hook served GET again
 
     // And the rebooted node serves traffic again.
     s.eq.schedule(s.eq.curTick() + usToTicks(5), [&] { s.ping(); });
