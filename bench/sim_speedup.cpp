@@ -26,9 +26,9 @@
  *    3x.
  *
  * Replay, churn and campaign each run three times in one invocation.
- * Every gate reads the median of its three runs, so one slow run on a
- * shared machine cannot fail the build, and each phase's witnesses
- * must be identical across the runs.
+ * Every gate reads the median of its three runs, so a single slow run
+ * does not decide a gate, and each phase's witnesses must be
+ * identical across the runs.
  *
  * The binary overrides global operator new/delete to count heap
  * allocations inside the measured regions; `churn`/`pool` report

@@ -175,7 +175,7 @@ void
 HandlerStage::runKv(std::size_t core, std::uint64_t gen,
                     std::uint64_t h, bool put)
 {
-    // Hash the key, read the bucket cacheline, then read (GET) or
+    // Read the bucket cacheline of key hash @p h, then read (GET) or
     // write (PUT) the value slot. Every access goes through the local
     // nMC as handler-class traffic. Payload contents are not
     // simulated, only where the bytes live and how long the core is
