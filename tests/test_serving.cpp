@@ -197,6 +197,42 @@ TEST(RpcServingCluster, DeterministicUnderCrashes)
     EXPECT_EQ(a.duplicateReplies, b.duplicateReplies);
 }
 
+TEST(RpcServingCluster, CrashCellEventsAndDigestArePinned)
+{
+    // The replicated crash cell: R=2 over four nodes with crashes on,
+    // so client failover, replica fan-out and retransmit, and
+    // resync-before-rejoin all run. Its executed-event count, RTT
+    // digest and lifecycle counters are pinned to recorded values: a
+    // refactor of the serving roles must move neither a single event
+    // nor a single sample.
+    SystemConfig base;
+    ServingResult r = runServing(base, clusterCell(4e4, 2));
+    EXPECT_EQ(r.events, 119003u);
+    EXPECT_EQ(r.crashes, 10u);
+    EXPECT_EQ(r.restarts, 10u);
+    EXPECT_EQ(r.resyncBytes, 59840u);
+    EXPECT_EQ(r.failoverRedirects, 364u);
+    EXPECT_EQ(r.retries, 275u);
+    EXPECT_EQ(r.lostAckedWrites, 0u);
+    EXPECT_EQ(r.rtt.digest(),
+              "lhist bits=7 n=796 min=4302365 max=139965409 "
+              "sum=7639659880;1089:2 1090:86 1091:195 1092:61 1093:26 "
+              "1094:28 1095:25 1096:20 1097:19 1098:13 1099:10 1100:12 "
+              "1101:2 1102:7 1103:3 1104:5 1105:6 1106:4 1107:2 1108:3 "
+              "1109:3 1110:2 1111:5 1112:4 1113:1 1114:3 1115:3 1116:3 "
+              "1117:3 1118:1 1119:3 1120:1 1121:1 1122:1 1123:1 1124:1 "
+              "1125:2 1128:1 1129:1 1130:1 1132:2 1133:1 1134:1 1135:1 "
+              "1136:1 1142:2 1143:1 1148:1 1153:1 1154:7 1155:13 "
+              "1156:5 1157:3 1158:2 1159:1 1160:2 1161:1 1162:2 1163:1 "
+              "1165:1 1175:1 1190:3 1191:8 1192:7 1193:4 1194:6 1195:8 "
+              "1196:12 1197:11 1198:11 1199:7 1200:7 1201:8 1202:6 "
+              "1203:14 1204:4 1205:4 1206:3 1207:2 1208:2 1209:3 "
+              "1211:1 1212:1 1214:1 1216:2 1219:1 1275:1 1278:2 1279:1 "
+              "1280:4 1281:1 1282:2 1285:2 1288:1 1289:1 1290:2 1292:2 "
+              "1328:5 1331:1 1345:2 1346:3 1354:1 1355:1 1393:3 1394:1 "
+              "1396:1 1402:1 1410:2 ");
+}
+
 TEST(RpcServingCluster, UnreplicatedClusterLosesAckedWritesToCrashes)
 {
     // The negative control: R=1 has no surviving replica, so a crash
