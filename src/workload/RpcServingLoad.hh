@@ -1,43 +1,40 @@
 /**
  * @file
- * Open-loop KV-serving load generator: the tail-latency experiment
- * behind bench/serving_kv.
+ * Open-loop KV-serving cells: the tail-latency experiment behind
+ * bench/serving_kv, serving_overload and serving_failover.
  *
- * A client node fires GET/PUT requests at a server node with Poisson
- * (exponential inter-arrival) timing at a configured QPS — open-loop,
- * so arrivals never wait for completions and queueing delay shows up
- * in the measured tail instead of being absorbed by the generator.
+ * runServing() builds one cell from three roles (RpcServingLoad.cc):
  *
- * The server side depends on placement:
+ *  - Client: fires GET/PUT requests with Poisson inter-arrival times
+ *    at a configured QPS. It is open-loop, so queueing delay shows up
+ *    in the measured tail. It owns retry with backoff, hedging,
+ *    failover routing past suspected replicas, the per-request RTT
+ *    histogram and the acked-write ledger.
+ *  - Server, one per serving node: owns bounded admission, a pool of
+ *    two host workers (a hash-bucket and a value access over a
+ *    64-page working set, then 6000 cycles of compute), the
+ *    replicated store, the replication fan-out of the PUTs it
+ *    coordinates and the apply side of re-sync. On NetDimmHandlers
+ *    the NetDIMM handler stage answers GET/PUT frames from local
+ *    DRAM first, and run-queue overflow falls back to the workers.
+ *    A Server sees its own node and the shard map, never a peer.
+ *  - Cluster: owns the topology, the consistent-hash ShardMap, the
+ *    crash/restart lifecycles and the one-node-down gate, builds
+ *    each re-sync plan (it is the only role that sees every store),
+ *    runs the interference co-runners and the end-of-run durability
+ *    audit, and assembles the ServingResult.
  *
- *  - Dnic / Inic / NetDimmHost: requests traverse the full RX path
- *    into host memory, then a pool of two application workers
- *    services each request (hash-bucket read + value read/write via
- *    cpuAccess over a 64-page working set, plus 6000 cycles of
- *    compute) and transmits the reply through the normal TX path.
- *  - NetDimmHandlers: the NetDIMM handler stage intercepts
- *    GET/PUT frames in the nNIC parser and serves them from local
- *    DRAM on the wimpy handler cores; run-queue overflow falls back
- *    to the same host worker pool.
+ * ServingParams::cluster (DESIGN.md §15) sizes the tier; its defaults
+ * are a single server on a direct link. With N > 1 the nodes sit
+ * behind a switch, keys map to R-way replica sets, and a PUT is
+ * acknowledged only after every replica installed it.
  *
- * Every request carries a unique rpcKey, so the client correlates
- * replies exactly and records per-request RTT in a LatencyHistogram
- * (ticks). The whole cell is deterministic for a given params struct:
- * results merge and print byte-identically at any --jobs.
- *
- * ServingParams::cluster (DESIGN.md §15) sizes the serving tier; its
- * defaults are the one-node cell above. With N > 1 the nodes sit
- * behind a switch: keys map to R-way replica sets on a
- * consistent-hash ring, PUTs are acknowledged only after every
- * replica installed them, whole-node crash/restart faults wipe a
- * node's volatile state, clients fail over past dead primaries via
- * their request timeouts, and a restarted node re-syncs its shards
- * from peers before rejoining the serve set.
- *
- * The workload shape every run shares (worker pool, working sets,
- * backoff jitter, cluster key space, ring points, re-sync batching,
- * replica retry period, suspicion window) is not in ServingParams:
- * it is a set of constants at the top of RpcServingLoad.cc.
+ * Each request carries a unique rpcKey, so replies are correlated
+ * exactly. A cell is deterministic for a given params struct: results
+ * merge and print byte-identically at any --jobs. The fixed workload
+ * shape (worker pool, working sets, backoff jitter, key space, ring
+ * points, re-sync batching and pacing, retry periods, suspicion
+ * window) is a set of constants at the top of RpcServingLoad.cc.
  */
 
 #ifndef NETDIMM_WORKLOAD_RPCSERVINGLOAD_HH
