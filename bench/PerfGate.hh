@@ -41,12 +41,14 @@ struct PerfGateCli
 
 /**
  * Testable parser core: peels the perf-gate flags off @p args and
- * forwards the rest, with @p extra_flags, to tryParseSweepCli(). A
- * missing value, or a tolerance that is not a finite number in
- * [0, 1), is an error. `out` stays empty unless `--out` is given.
+ * forwards the rest, with the declared SweepFlag set @p takes and
+ * @p extra_flags, to tryParseSweepCli(). A missing value, or a
+ * tolerance that is not a finite number in [0, 1), is an error.
+ * `out` stays empty unless `--out` is given.
  */
 inline bool
 tryParsePerfGateCli(const std::vector<std::string> &args,
+                    unsigned takes,
                     const std::vector<std::string> &extra_flags,
                     PerfGateCli &out, std::string &error)
 {
@@ -80,7 +82,7 @@ tryParsePerfGateCli(const std::vector<std::string> &args,
             cli.tolerance = t;
         }
     }
-    if (!tryParseSweepCli(rest, extra_flags, cli.sweep, error))
+    if (!tryParseSweepCli(rest, takes, extra_flags, cli.sweep, error))
         return false;
     out = cli;
     return true;
@@ -88,22 +90,24 @@ tryParsePerfGateCli(const std::vector<std::string> &args,
 
 /**
  * Parse argv (the JSON report defaults to @p default_out); on any
- * error prints the diagnostic plus `usage: <bench> @p usage [--out
- * FILE] [--baseline FILE] [--tolerance F]` to stderr and exits 2.
+ * error prints the diagnostic plus a usage line listing the declared
+ * flags and `[--out FILE] [--baseline FILE] [--tolerance F]` to
+ * stderr and exits 2.
  */
 inline PerfGateCli
 parsePerfGateCli(int argc, char **argv, const char *default_out,
-                 const std::vector<std::string> &extra_flags,
-                 const char *usage)
+                 unsigned takes,
+                 const std::vector<std::string> &extra_flags = {})
 {
     PerfGateCli cli;
     std::string error;
     std::vector<std::string> args(argv + 1, argv + argc);
-    if (!tryParsePerfGateCli(args, extra_flags, cli, error)) {
+    if (!tryParsePerfGateCli(args, takes, extra_flags, cli, error)) {
         std::fprintf(stderr,
-                     "%s: %s\nusage: %s %s [--out FILE] "
+                     "%s: %s\nusage: %s%s [--out FILE] "
                      "[--baseline FILE] [--tolerance F]\n",
-                     argv[0], error.c_str(), argv[0], usage);
+                     argv[0], error.c_str(), argv[0],
+                     sweepUsage(takes, extra_flags).c_str());
         std::exit(2);
     }
     if (cli.out.empty())

@@ -215,7 +215,7 @@ runCell(const Cell &c, bool with_registry, double windowUs)
 int
 main(int argc, char **argv)
 {
-    SweepCli cli = parseSweepCli(argc, argv);
+    SweepCli cli = parseSweepCli(argc, argv, sweepShort | sweepJobs);
     const bool short_mode = cli.shortMode;
     const double windowUs = short_mode ? 600.0 : 2000.0;
 

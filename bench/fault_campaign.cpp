@@ -156,7 +156,7 @@ runOne(const std::string &cls, double rate, double windowUs)
 int
 main(int argc, char **argv)
 {
-    SweepCli cli = parseSweepCli(argc, argv);
+    SweepCli cli = parseSweepCli(argc, argv, sweepShort | sweepJobs);
     const double windowUs = cli.shortMode ? 800.0 : 2000.0;
 
     setQuiet(true);

@@ -113,7 +113,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    SweepCli cli = parseSweepCli(argc, argv, {"--reliable"});
+    SweepCli cli = parseSweepCli(argc, argv, sweepJobs, {"--reliable"});
     bool reliable = false;
     for (const std::string &a : cli.rest)
         if (a == "--reliable")

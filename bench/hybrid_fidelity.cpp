@@ -547,8 +547,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     bench::PerfGateCli gate = bench::parsePerfGateCli(
-        argc, argv, "BENCH_hybrid.json", {"--trace"},
-        "[--short] [--fidelity packet|hybrid|fluid] [--trace]");
+        argc, argv, "BENCH_hybrid.json", sweepShort | sweepFidelity,
+        {"--trace"});
     const SweepCli &cli = gate.sweep;
     bool traceFlag = false;
     for (const std::string &f : cli.rest)

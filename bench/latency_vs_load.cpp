@@ -73,7 +73,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    SweepCli cli = parseSweepCli(argc, argv);
+    SweepCli cli = parseSweepCli(argc, argv, sweepJobs);
     const int npackets = 2000;
     const std::vector<double> loads = {2, 8, 16, 24, 32, 36};
     const std::vector<NicKind> kinds = {

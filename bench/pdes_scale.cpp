@@ -252,8 +252,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     bench::PerfGateCli gate = bench::parsePerfGateCli(
-        argc, argv, "BENCH_pdes.json", {"--det"},
-        "[--short] [--det] [--shards N]");
+        argc, argv, "BENCH_pdes.json", sweepShort | sweepShards,
+        {"--det"});
     const SweepCli &cli = gate.sweep;
     bool detOnly = false;
     for (const std::string &f : cli.rest)

@@ -86,7 +86,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    SweepCli cli = parseSweepCli(argc, argv);
+    SweepCli cli = parseSweepCli(argc, argv, sweepShort | sweepJobs);
     const bool short_mode = cli.shortMode;
     SystemConfig base;
     // StaticCap handler bus share; must bind to differentiate.

@@ -118,7 +118,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    SweepCli cli = parseSweepCli(argc, argv);
+    SweepCli cli = parseSweepCli(argc, argv, sweepShort | sweepJobs);
     const bool short_mode = cli.shortMode;
     SystemConfig base;
     SweepRunner runner(cli.jobs);

@@ -422,7 +422,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     bench::PerfGateCli cli = bench::parsePerfGateCli(
-        argc, argv, "BENCH_simcore.json", {}, "[--short] [--jobs N]");
+        argc, argv, "BENCH_simcore.json", sweepShort | sweepJobs);
     const bool shortMode = cli.sweep.shortMode;
     const unsigned jobs = cli.sweep.jobs;
 

@@ -155,26 +155,44 @@ parsePositive(const std::vector<std::string> &args, std::size_t &a,
 
 } // namespace
 
+std::string
+sweepUsage(unsigned takes, const std::vector<std::string> &extra_flags)
+{
+    std::string usage;
+    if (takes & sweepShort)
+        usage += " [--short]";
+    if (takes & sweepJobs)
+        usage += " [--jobs N]";
+    if (takes & sweepShards)
+        usage += " [--shards N]";
+    if (takes & sweepFidelity)
+        usage += " [--fidelity packet|hybrid|fluid]";
+    for (const std::string &f : extra_flags)
+        usage += " [" + f + "]";
+    return usage;
+}
+
 bool
-tryParseSweepCli(const std::vector<std::string> &args,
+tryParseSweepCli(const std::vector<std::string> &args, unsigned takes,
                  const std::vector<std::string> &extra_flags,
                  SweepCli &out, std::string &error)
 {
     SweepCli cli;
     for (std::size_t a = 0; a < args.size(); ++a) {
         const std::string &arg = args[a];
-        if (arg == "--short") {
+        if (arg == "--short" && (takes & sweepShort)) {
             cli.shortMode = true;
             continue;
         }
-        if (arg == "--jobs" || arg == "--shards") {
+        if ((arg == "--jobs" && (takes & sweepJobs)) ||
+            (arg == "--shards" && (takes & sweepShards))) {
             if (!parsePositive(args, a,
                                arg == "--jobs" ? cli.jobs : cli.shards,
                                error))
                 return false;
             continue;
         }
-        if (arg == "--fidelity") {
+        if (arg == "--fidelity" && (takes & sweepFidelity)) {
             if (a + 1 >= args.size()) {
                 error = "--fidelity requires a value";
                 return false;
@@ -215,22 +233,17 @@ tryParseSweepCli(const std::vector<std::string> &args,
 }
 
 SweepCli
-parseSweepCli(int argc, char **argv,
+parseSweepCli(int argc, char **argv, unsigned takes,
               const std::vector<std::string> &extra_flags)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
     SweepCli cli;
     std::string error;
-    if (!tryParseSweepCli(args, extra_flags, cli, error)) {
-        std::string usage = "usage: ";
-        usage += argc > 0 ? argv[0] : "bench";
-        usage += " [--short] [--jobs N] [--shards N]"
-                 " [--fidelity packet|hybrid|fluid]";
-        for (const std::string &f : extra_flags)
-            usage += " [" + f + "]";
-        std::fprintf(stderr, "%s: %s\n%s\n",
-                     argc > 0 ? argv[0] : "bench", error.c_str(),
-                     usage.c_str());
+    if (!tryParseSweepCli(args, takes, extra_flags, cli, error)) {
+        const char *bench = argc > 0 ? argv[0] : "bench";
+        std::fprintf(stderr, "%s: %s\nusage: %s%s\n", bench,
+                     error.c_str(), bench,
+                     sweepUsage(takes, extra_flags).c_str());
         std::exit(2);
     }
     return cli;

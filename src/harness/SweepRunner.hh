@@ -160,14 +160,6 @@ class SweepRunner
 };
 
 /**
- * Shared command-line surface of the sweep benches: `--jobs N`
- * (default: hardware concurrency) plus the conventional `--short`.
- * Bench-specific flags must be declared in the allowlist passed to
- * the parser; they land in `rest` for the caller. Anything else is a
- * hard parse error — typos fail loudly instead of silently running
- * the wrong experiment.
- */
-/**
  * Simulation fidelity selected on the command line (`--fidelity`).
  * Packet runs everything packet-level (the default: all goldens are
  * produced in this mode and stay byte-identical); Hybrid runs bulk
@@ -184,6 +176,29 @@ enum class FidelityMode : std::uint8_t
 /** Canonical CLI spelling of @p mode ("packet", "hybrid", "fluid"). */
 const char *fidelityModeName(FidelityMode mode);
 
+/**
+ * Shared command-line surface of the sweep benches: `--short`,
+ * `--jobs N` (default: hardware concurrency), `--shards N` and
+ * `--fidelity MODE`. Each bench declares the shared flags it reads
+ * as a SweepFlag set, and bench-specific valueless flags in an
+ * allowlist; those land in `rest` for the caller. Anything else,
+ * including a shared flag the bench did not declare, is a hard parse
+ * error -- typos fail loudly instead of silently running the wrong
+ * experiment.
+ */
+enum SweepFlag : unsigned
+{
+    sweepShort = 1u << 0,    ///< `--short`
+    sweepJobs = 1u << 1,     ///< `--jobs N`
+    sweepShards = 1u << 2,   ///< `--shards N`
+    sweepFidelity = 1u << 3, ///< `--fidelity packet|hybrid|fluid`
+};
+
+/** The usage-line tail for the shared flags in @p takes (a SweepFlag
+ *  set) plus @p extra_flags, e.g. " [--short] [--jobs N] [--det]". */
+std::string sweepUsage(unsigned takes,
+                       const std::vector<std::string> &extra_flags);
+
 struct SweepCli
 {
     unsigned jobs = 0; ///< resolved: >= 1
@@ -199,21 +214,24 @@ struct SweepCli
 };
 
 /**
- * Testable parser core. @p args is argv[1..argc); @p extra_flags is
- * the allowlist of valueless caller-handled flags. On success fills
- * @p out and returns true; on bad input (unknown argument, missing /
+ * Testable parser core. @p args is argv[1..argc); @p takes is the
+ * SweepFlag set the caller reads; @p extra_flags is the allowlist of
+ * valueless caller-handled flags. On success fills @p out and returns
+ * true; on bad input (unknown or undeclared argument, missing /
  * non-numeric / < 1 `--jobs` value) returns false with a one-line
  * diagnostic in @p error.
  */
 bool tryParseSweepCli(const std::vector<std::string> &args,
+                      unsigned takes,
                       const std::vector<std::string> &extra_flags,
                       SweepCli &out, std::string &error);
 
 /**
  * Parse argv; on any parse error prints the diagnostic plus a usage
- * line (mentioning @p extra_flags) to stderr and exits with status 2.
+ * line (listing only the declared flags) to stderr and exits with
+ * status 2.
  */
-SweepCli parseSweepCli(int argc, char **argv,
+SweepCli parseSweepCli(int argc, char **argv, unsigned takes,
                        const std::vector<std::string> &extra_flags = {});
 
 /**

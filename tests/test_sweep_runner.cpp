@@ -243,11 +243,12 @@ TEST(SweepRunner, PacketIdsArePerEventQueue)
 
 TEST(SweepRunner, ParseSweepCli)
 {
+    const unsigned takes = sweepShort | sweepJobs;
     // Valid: --jobs N, --short, and an allowlisted extra flag.
     SweepCli cli;
     std::string err;
     ASSERT_TRUE(tryParseSweepCli({"--jobs", "3", "--short",
-                                  "--reliable"},
+                                  "--reliable"}, takes,
                                  {"--reliable"}, cli, err))
         << err;
     EXPECT_EQ(cli.jobs, 3u);
@@ -257,7 +258,7 @@ TEST(SweepRunner, ParseSweepCli)
 
     // Defaults: no args -> hardware concurrency, long mode.
     SweepCli def;
-    ASSERT_TRUE(tryParseSweepCli({}, {}, def, err)) << err;
+    ASSERT_TRUE(tryParseSweepCli({}, takes, {}, def, err)) << err;
     EXPECT_GE(def.jobs, 1u);
     EXPECT_FALSE(def.shortMode);
     EXPECT_TRUE(def.rest.empty());
@@ -265,42 +266,44 @@ TEST(SweepRunner, ParseSweepCli)
 
 TEST(SweepRunner, ParseSweepCliRejectsBadJobs)
 {
+    const unsigned takes = sweepJobs;
     SweepCli cli;
     std::string err;
 
-    EXPECT_FALSE(tryParseSweepCli({"--jobs", "0"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--jobs", "0"}, takes, {}, cli, err));
     EXPECT_NE(err.find("--jobs"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--jobs", "-4"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--jobs", "-4"}, takes, {}, cli, err));
     EXPECT_NE(err.find("positive"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--jobs", "two"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--jobs", "two"}, takes, {}, cli, err));
     EXPECT_NE(err.find("two"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--jobs", "3x"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--jobs", "3x"}, takes, {}, cli, err));
 
-    EXPECT_FALSE(tryParseSweepCli({"--jobs"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--jobs"}, takes, {}, cli, err));
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
 TEST(SweepRunner, ParseSweepCliShards)
 {
+    const unsigned takes = sweepShort | sweepJobs | sweepShards;
     // --shards N lands in cli.shards; absence keeps the 0 sentinel
     // (the PDES benches pick their own sweep in that case).
     SweepCli cli;
     std::string err;
-    ASSERT_TRUE(tryParseSweepCli({"--shards", "4"}, {}, cli, err))
+    ASSERT_TRUE(tryParseSweepCli({"--shards", "4"}, takes, {}, cli, err))
         << err;
     EXPECT_EQ(cli.shards, 4u);
 
     SweepCli def;
-    ASSERT_TRUE(tryParseSweepCli({}, {}, def, err)) << err;
+    ASSERT_TRUE(tryParseSweepCli({}, takes, {}, def, err)) << err;
     EXPECT_EQ(def.shards, 0u);
 
     // Composes with the rest of the surface.
     SweepCli both;
     ASSERT_TRUE(tryParseSweepCli({"--jobs", "2", "--shards", "8",
-                                  "--short"},
+                                  "--short"}, takes,
                                  {}, both, err))
         << err;
     EXPECT_EQ(both.jobs, 2u);
@@ -310,29 +313,31 @@ TEST(SweepRunner, ParseSweepCliShards)
 
 TEST(SweepRunner, ParseSweepCliRejectsBadShards)
 {
+    const unsigned takes = sweepShards;
     // Same reject semantics as --jobs: 0, negative, non-numeric,
     // trailing garbage, and a missing value are all hard errors.
     SweepCli cli;
     std::string err;
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "0"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--shards", "0"}, takes, {}, cli, err));
     EXPECT_NE(err.find("--shards"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "-2"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--shards", "-2"}, takes, {}, cli, err));
     EXPECT_NE(err.find("positive"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "four"}, {}, cli,
+    EXPECT_FALSE(tryParseSweepCli({"--shards", "four"}, takes, {}, cli,
                                   err));
     EXPECT_NE(err.find("four"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "4x"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--shards", "4x"}, takes, {}, cli, err));
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--shards"}, takes, {}, cli, err));
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
 TEST(SweepRunner, ParseSweepCliRejectsOutOfRangeCounts)
 {
+    const unsigned takes = sweepJobs | sweepShards;
     // Parser only: no runner is built, so no thread starts. A count
     // past unsigned range is an error, not a truncation (4294967297
     // used to mean 1, and a strtol overflow 4294967295).
@@ -341,7 +346,7 @@ TEST(SweepRunner, ParseSweepCliRejectsOutOfRangeCounts)
         std::string err;
         for (const char *v : {"4294967296", "4294967297",
                               "99999999999999999999999"}) {
-            EXPECT_FALSE(tryParseSweepCli({flag, v}, {}, cli, err))
+            EXPECT_FALSE(tryParseSweepCli({flag, v}, takes, {}, cli, err))
                 << flag << " " << v;
             EXPECT_NE(err.find("positive integer"), std::string::npos)
                 << err;
@@ -349,7 +354,7 @@ TEST(SweepRunner, ParseSweepCliRejectsOutOfRangeCounts)
         }
         // The largest unsigned value still parses exactly.
         ASSERT_TRUE(
-            tryParseSweepCli({flag, "4294967295"}, {}, cli, err))
+            tryParseSweepCli({flag, "4294967295"}, takes, {}, cli, err))
             << err;
         EXPECT_EQ(std::string(flag) == "--jobs" ? cli.jobs
                                                 : cli.shards,
@@ -359,33 +364,34 @@ TEST(SweepRunner, ParseSweepCliRejectsOutOfRangeCounts)
 
 TEST(SweepRunner, ParseSweepCliFidelity)
 {
+    const unsigned takes = sweepShort | sweepJobs | sweepFidelity;
     // Each spelling lands in cli.fidelity; absence keeps Packet (the
     // byte-identical default every golden is produced in).
     SweepCli cli;
     std::string err;
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "hybrid"}, {}, cli,
+    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "hybrid"}, takes, {}, cli,
                                  err))
         << err;
     EXPECT_EQ(cli.fidelity, FidelityMode::Hybrid);
 
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "fluid"}, {}, cli,
+    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "fluid"}, takes, {}, cli,
                                  err))
         << err;
     EXPECT_EQ(cli.fidelity, FidelityMode::Fluid);
 
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "packet"}, {}, cli,
+    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "packet"}, takes, {}, cli,
                                  err))
         << err;
     EXPECT_EQ(cli.fidelity, FidelityMode::Packet);
 
     SweepCli def;
-    ASSERT_TRUE(tryParseSweepCli({}, {}, def, err)) << err;
+    ASSERT_TRUE(tryParseSweepCli({}, takes, {}, def, err)) << err;
     EXPECT_EQ(def.fidelity, FidelityMode::Packet);
 
     // Composes with the rest of the shared sweep surface.
     SweepCli both;
     ASSERT_TRUE(tryParseSweepCli({"--fidelity", "fluid", "--jobs",
-                                  "2", "--short"},
+                                  "2", "--short"}, takes,
                                  {}, both, err))
         << err;
     EXPECT_EQ(both.fidelity, FidelityMode::Fluid);
@@ -399,41 +405,69 @@ TEST(SweepRunner, ParseSweepCliFidelity)
 
 TEST(SweepRunner, ParseSweepCliRejectsBadFidelity)
 {
+    const unsigned takes = sweepFidelity;
     // Unknown mode names, a missing value, and case variants are
     // hard errors naming the offending token, like --jobs/--shards.
     SweepCli cli;
     std::string err;
 
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "analog"}, {}, cli,
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "analog"}, takes, {}, cli,
                                   err));
     EXPECT_NE(err.find("analog"), std::string::npos);
     EXPECT_NE(err.find("--fidelity"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "Packet"}, {}, cli,
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "Packet"}, takes, {}, cli,
                                   err));
 
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity"}, takes, {}, cli, err));
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
 TEST(SweepRunner, ParseSweepCliRejectsUnknownFlags)
 {
+    const unsigned takes =
+        sweepShort | sweepJobs | sweepShards | sweepFidelity;
     SweepCli cli;
     std::string err;
 
-    EXPECT_FALSE(tryParseSweepCli({"--bogus"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--bogus"}, takes, {}, cli, err));
     EXPECT_NE(err.find("--bogus"), std::string::npos);
 
     // Extra flags are an allowlist, not a prefix match.
-    EXPECT_FALSE(tryParseSweepCli({"--reliable2"}, {"--reliable"},
+    EXPECT_FALSE(tryParseSweepCli({"--reliable2"}, takes, {"--reliable"},
                                   cli, err));
 
     // Stray positional arguments are rejected too.
-    EXPECT_FALSE(tryParseSweepCli({"12"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"12"}, takes, {}, cli, err));
 
     // The perf-gate flags belong to bench/PerfGate.hh, not to the
     // shared sweep surface.
-    EXPECT_FALSE(tryParseSweepCli({"--tolerance", "0.1"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--tolerance", "0.1"}, takes, {}, cli, err));
+}
+
+TEST(SweepRunner, ParseSweepCliRejectsUndeclaredSharedFlags)
+{
+    // A bench declares the shared flags it reads; any other shared
+    // flag is an unknown argument, not a silently ignored one.
+    SweepCli cli;
+    std::string err;
+    EXPECT_FALSE(tryParseSweepCli({"--short"}, sweepJobs, {}, cli, err));
+    EXPECT_NE(err.find("--short"), std::string::npos);
+    EXPECT_FALSE(tryParseSweepCli({"--jobs", "2"},
+                                  sweepShort | sweepShards, {}, cli, err));
+    EXPECT_NE(err.find("--jobs"), std::string::npos);
+    EXPECT_FALSE(
+        tryParseSweepCli({"--shards", "2"}, sweepJobs, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "fluid"},
+                                  sweepShort | sweepJobs, {}, cli, err));
+
+    // The usage line lists only the declared flags.
+    EXPECT_EQ(sweepUsage(sweepJobs, {"--reliable"}),
+              " [--jobs N] [--reliable]");
+    EXPECT_EQ(sweepUsage(sweepShort | sweepShards, {}),
+              " [--short] [--shards N]");
+    EXPECT_EQ(sweepUsage(sweepFidelity, {}),
+              " [--fidelity packet|hybrid|fluid]");
 }
 
 TEST(SweepRunner, ParsePerfGateCli)
@@ -445,7 +479,7 @@ TEST(SweepRunner, ParsePerfGateCli)
     ASSERT_TRUE(bench::tryParsePerfGateCli(
         {"--short", "--out", "o.json", "--baseline", "b.json",
          "--tolerance", "0.05", "--jobs", "2", "--det"},
-        {"--det"}, cli, err))
+        sweepShort | sweepJobs, {"--det"}, cli, err))
         << err;
     EXPECT_EQ(cli.out, "o.json");
     EXPECT_EQ(cli.baseline, "b.json");
@@ -458,14 +492,14 @@ TEST(SweepRunner, ParsePerfGateCli)
     // Defaults: no out path (the bench supplies its own), no
     // baseline, 20% tolerance.
     bench::PerfGateCli def;
-    ASSERT_TRUE(bench::tryParsePerfGateCli({}, {}, def, err)) << err;
+    ASSERT_TRUE(bench::tryParsePerfGateCli({}, 0, {}, def, err)) << err;
     EXPECT_TRUE(def.out.empty());
     EXPECT_TRUE(def.baseline.empty());
     EXPECT_DOUBLE_EQ(def.tolerance, 0.20);
 
     // Zero tolerance is a legal (strictest) gate.
-    ASSERT_TRUE(bench::tryParsePerfGateCli({"--tolerance", "0"}, {},
-                                           def, err))
+    ASSERT_TRUE(bench::tryParsePerfGateCli({"--tolerance", "0"}, 0,
+                                           {}, def, err))
         << err;
     EXPECT_EQ(def.tolerance, 0.0);
 }
@@ -481,22 +515,24 @@ TEST(SweepRunner, ParsePerfGateCliRejectsBadValues)
     for (const char *bad : {"7", "1", "1.0", "-0.1", "nan", "inf",
                             "0.2x", "", "abc"}) {
         EXPECT_FALSE(bench::tryParsePerfGateCli({"--tolerance", bad},
-                                                {}, cli, err))
+                                                0, {}, cli, err))
             << bad;
         EXPECT_NE(err.find("--tolerance"), std::string::npos) << bad;
     }
 
     for (const char *flag : {"--out", "--baseline", "--tolerance"}) {
-        EXPECT_FALSE(bench::tryParsePerfGateCli({flag}, {}, cli, err))
+        EXPECT_FALSE(
+            bench::tryParsePerfGateCli({flag}, 0, {}, cli, err))
             << flag;
         EXPECT_NE(err.find("requires a value"), std::string::npos)
             << flag;
     }
 
     // The forwarded remainder keeps the sweep parser's checks.
-    EXPECT_FALSE(bench::tryParsePerfGateCli({"--jobs", "abc"}, {}, cli,
-                                            err));
+    EXPECT_FALSE(bench::tryParsePerfGateCli({"--jobs", "abc"},
+                                            sweepJobs, {}, cli, err));
     EXPECT_NE(err.find("--jobs"), std::string::npos);
-    EXPECT_FALSE(bench::tryParsePerfGateCli({"--bogus"}, {}, cli, err));
+    EXPECT_FALSE(
+        bench::tryParsePerfGateCli({"--bogus"}, sweepJobs, {}, cli, err));
     EXPECT_NE(err.find("--bogus"), std::string::npos);
 }
