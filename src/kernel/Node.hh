@@ -104,9 +104,10 @@ class Node : public SimObject
     /**
      * Cold boot after crash(): device function-reset, rings rebuilt,
      * RX buffers reposted, link carrier restored, then the cold-boot
-     * hook replays workload setup (match-table reinstall, KV
-     * reconfiguration). The KV store itself comes back empty — the
-     * workload's resync protocol refills it.
+     * hook replays device-side workload setup (the handler KV
+     * reconfiguration). The KV store itself comes back empty, and the
+     * handler serves no op until the workload's resync protocol has
+     * refilled the store and reinstalled them.
      */
     void restart();
     /** Installed once; replayed at the end of every restart(). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -153,6 +152,8 @@ struct SyncPlan
 class Server
 {
   public:
+    /** This server's share of the ServingResult counters of the same
+     *  names; Cluster::run() sums them. */
     std::uint64_t hostServed = 0;
     std::uint64_t shedQueueFull = 0;
     std::uint64_t shedGets = 0;
@@ -810,10 +811,18 @@ class Cluster
                   cl.replication <= cl.nodes);
 
         SystemConfig cfg = base;
-        cfg.nic = p.placement == ServingPlacement::Dnic   ? NicKind::Discrete
-                  : p.placement == ServingPlacement::Inic ? NicKind::Integrated
-                                                          : NicKind::NetDimm;
-        if (p.placement == ServingPlacement::NetDimmHandlers) {
+        switch (p.placement) {
+        case ServingPlacement::Dnic:
+            cfg.nic = NicKind::Discrete;
+            break;
+        case ServingPlacement::Inic:
+            cfg.nic = NicKind::Integrated;
+            break;
+        case ServingPlacement::NetDimmHost:
+            cfg.nic = NicKind::NetDimm;
+            break;
+        case ServingPlacement::NetDimmHandlers:
+            cfg.nic = NicKind::NetDimm;
             cfg.handler.enabled = true;
             cfg.memCtrl.handlerArb = p.arb;
             // One knob arms deadline-aware shedding on both dequeue
@@ -822,6 +831,7 @@ class Cluster
                 cfg.handler.dropExpiredAtDispatch = true;
                 cfg.handler.dispatchMargin = p.dequeueMargin;
             }
+            break;
         }
         // Crash schedules draw from each server's own registry, so a
         // crashy cell needs the fault framework up. Zero-crash cells
