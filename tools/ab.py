@@ -57,6 +57,8 @@ def perfbench(side, args, log):
     if not lines:
         raise RuntimeError("%s: no output (exit %d)" %
                            (side["name"], run.returncode))
+    log.write("%s %s: %s\n" % (side["name"], " ".join(args), lines[-1]))
+    log.flush()
     return json.loads(lines[-1])
 
 
@@ -205,6 +207,9 @@ def main(argv):
         for key in traced["parent"]:
             print("  %-40s %14.6g %14.6g" %
                   (key, traced["parent"][key], traced["change"].get(key, 0)))
+    print("correct: parent %d/%d, change %d/%d" %
+          (sum(r["correct"] for r in runs["parent"]), a.pairs,
+           sum(r["correct"] for r in runs["change"]), a.pairs))
     for m in mismatches:
         print("MISMATCH %s" % m)
     return 1 if mismatches else 0
