@@ -4,8 +4,7 @@
 Usage, from the repository root:
 
     python3 tools/ab.py --parent REV [--change REV] --workload NAME
-                        [--pairs N] [--seconds S] [--seeds 1,2,...]
-                        [--work DIR] [--trace]
+                        [--pairs N] [--seeds 1,2,...] [--work DIR]
 
 Each revision's committed files are exported (git archive) into
 WORK/parent/tree and WORK/change/tree and built into WORK/<side>/build
@@ -13,17 +12,19 @@ by that tree's own perfbench/run.py, so neither side sees the other's
 sources or build. Then the two sides run in ABBA order for N pairs:
 pair i runs the parent first when i is even and the change first when
 i is odd, both at seed seeds[i % len(seeds)], so a slow drift of the
-host hits both sides alike.
+host hits both sides alike. Every run lasts the `run_seconds` that the
+change tree's BENCHMARK.json fixes.
 
 Per end-to-end metric it prints each side's median and IQR (as a share
 of the median), how many pairs the change won (by the metric's
 direction in BENCHMARK.json; ties count as neither) and the two-sided
-sign-test p-value over the untied pairs. With --trace, one extra
-`--trace 1` run per side prints the per-layer metrics side by side.
+sign-test p-value over the untied pairs. Then one extra `--trace 1`
+run per side prints the per-layer metrics side by side.
 
-The exit status is 1 if `correct`, `sim_p50_us` or `sim_p99_us`
-differ between the two runs of any pair (the simulated results must
-not move), 2 on a usage or build error, and 0 otherwise.
+The exit status is 1 if any run exits nonzero or reports `correct`
+false (an output or golden check failed), or if `sim_p50_us` or
+`sim_p99_us` differ between the two runs of any pair (the simulated
+results must not move); 2 on a usage or build error; 0 otherwise.
 """
 
 import argparse
@@ -46,8 +47,9 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def perfbench(side, args, log):
-    """Run @side's perfbench/run.py with @args; return its JSON result."""
+def perfbench(side, args, log, failures):
+    """Run @side's perfbench/run.py with @args; return its JSON result.
+    A nonzero exit or `correct` false is appended to @failures."""
     env = dict(os.environ, CARGO_TARGET_DIR=side["build"])
     run = subprocess.run(
         [sys.executable, os.path.join(side["tree"], "perfbench", "run.py")]
@@ -59,7 +61,12 @@ def perfbench(side, args, log):
                            (side["name"], run.returncode))
     log.write("%s %s: %s\n" % (side["name"], " ".join(args), lines[-1]))
     log.flush()
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if run.returncode != 0 or result.get("correct") is not True:
+        failures.append("%s %s: exit %d, correct %r" %
+                        (side["name"], " ".join(args), run.returncode,
+                         result.get("correct")))
+    return result
 
 
 def quartiles(xs):
@@ -85,15 +92,14 @@ def sign_test(wins, losses):
     return min(1.0, 2.0 * tail)
 
 
-def directions(tree):
-    """Metric name -> "lower"/"higher" from @tree's BENCHMARK.json."""
-    path = os.path.join(tree, "BENCHMARK.json")
-    if not os.path.isfile(path):
-        return {}
-    with open(path) as f:
+def benchmark_spec(tree):
+    """@tree's BENCHMARK.json: (run seconds, metric name -> "lower" or
+    "higher")."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    return {m["name"]: m.get("better", "lower")
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    better = {m["name"]: m.get("better", "lower")
+              for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return spec["run_seconds"], better
 
 
 def values(result):
@@ -107,17 +113,14 @@ def parse(argv):
     ap.add_argument("--change", default="HEAD", help="revision under test")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=8)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seeds", default="1",
                     help="comma-separated; pair i uses seeds[i %% len]")
     ap.add_argument("--work", default=os.path.join(ROOT, ".ab"),
                     help="scratch directory (must not exist yet)")
-    ap.add_argument("--trace", action="store_true",
-                    help="one extra --trace 1 run per side")
     a = ap.parse_args(argv)
     a.seeds = [int(s) for s in a.seeds.split(",") if s]
-    if a.pairs < 1 or a.seconds < 0 or not a.seeds:
-        ap.error("need --pairs >= 1, --seconds >= 0 and one seed")
+    if a.pairs < 1 or not a.seeds:
+        ap.error("need --pairs >= 1 and one seed")
     return a
 
 
@@ -134,14 +137,19 @@ def main(argv):
                 "build": os.path.join(base, "build")}
         export(rev, side["tree"])
         sides.append(side)
+    try:
+        seconds, better = benchmark_spec(sides[1]["tree"])
+    except (OSError, ValueError, KeyError) as e:
+        print("ab: change tree's BENCHMARK.json: %r" % e, file=sys.stderr)
+        return 2
     log = open(os.path.join(a.work, "runs.log"), "w")
     base_args = ["--workload", a.workload, "--trace", "0"]
+    failures = []
     try:
         # Build each side (a zero-second run also warms it up).
         for side in sides:
-            perfbench(side, base_args + ["--seconds", "0"], log)
+            perfbench(side, base_args + ["--seconds", "0"], log, failures)
         runs = {"parent": [], "change": []}
-        mismatches = []
         for i in range(a.pairs):
             seed = a.seeds[i % len(a.seeds)]
             order = sides if i % 2 == 0 else sides[::-1]
@@ -149,28 +157,25 @@ def main(argv):
             for side in order:
                 pair[side["name"]] = perfbench(
                     side, base_args + ["--seed", str(seed),
-                                       "--seconds", str(a.seconds)], log)
+                                       "--seconds", str(seconds)], log,
+                    failures)
             p, c = pair["parent"], pair["change"]
             pv, cv = values(p), values(c)
             for key in SAME_IN_PAIR:
                 if pv.get(key) != cv.get(key):
-                    mismatches.append("pair %d: %s %r vs %r" %
-                                      (i, key, pv.get(key), cv.get(key)))
-            if p["correct"] != c["correct"]:
-                mismatches.append("pair %d: correct %r vs %r" %
-                                  (i, p["correct"], c["correct"]))
+                    failures.append("pair %d: %s %r vs %r" %
+                                    (i, key, pv.get(key), cv.get(key)))
             runs["parent"].append(p)
             runs["change"].append(c)
             print("pair %d seed %d: %s first; wall_s %.4g vs %.4g" %
                   (i, seed, order[0]["name"], pv.get("wall_s", 0.0),
                    cv.get("wall_s", 0.0)), file=sys.stderr)
         traced = {}
-        if a.trace:
-            for side in sides:
-                traced[side["name"]] = values(perfbench(
-                    side, ["--workload", a.workload, "--trace", "1",
-                           "--seed", str(a.seeds[0]),
-                           "--seconds", str(a.seconds)], log))
+        for side in sides:
+            traced[side["name"]] = values(perfbench(
+                side, ["--workload", a.workload, "--trace", "1",
+                       "--seed", str(a.seeds[0]),
+                       "--seconds", str(seconds)], log, failures))
     except (RuntimeError, subprocess.CalledProcessError,
             json.JSONDecodeError) as e:
         print("ab: %s (see %s)" % (e, log.name), file=sys.stderr)
@@ -178,9 +183,8 @@ def main(argv):
     finally:
         log.close()
 
-    better = directions(sides[1]["tree"])
     print("%s: %s (parent) vs %s (change), %d ABBA pairs, %g s, seeds %s"
-          % (a.workload, a.parent, a.change, a.pairs, a.seconds,
+          % (a.workload, a.parent, a.change, a.pairs, seconds,
              ",".join(map(str, a.seeds))))
     print("%-14s %12s %8s %12s %8s %8s %6s %8s" %
           ("metric", "parent", "IQR%", "change", "IQR%", "delta%", "wins",
@@ -202,17 +206,16 @@ def main(argv):
               % (key, pmed, pct(pq3 - pq1, pmed), cmed,
                  pct(cq3 - cq1, cmed), pct(cmed - pmed, pmed), wins,
                  len(pa), sign_test(wins, losses)))
-    if traced:
-        print("per-layer (one --trace 1 run per side):")
-        for key in traced["parent"]:
-            print("  %-40s %14.6g %14.6g" %
-                  (key, traced["parent"][key], traced["change"].get(key, 0)))
+    print("per-layer (one --trace 1 run per side):")
+    for key in traced["parent"]:
+        print("  %-40s %14.6g %14.6g" %
+              (key, traced["parent"][key], traced["change"].get(key, 0)))
     print("correct: parent %d/%d, change %d/%d" %
           (sum(r["correct"] for r in runs["parent"]), a.pairs,
            sum(r["correct"] for r in runs["change"]), a.pairs))
-    for m in mismatches:
-        print("MISMATCH %s" % m)
-    return 1 if mismatches else 0
+    for m in failures:
+        print("FAIL %s" % m)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
