@@ -10,7 +10,11 @@
 #include <set>
 #include <vector>
 
+#include "cache/Llc.hh"
 #include "mem/MemoryController.hh"
+#include "mem/MemorySystem.hh"
+#include "sim/Fault.hh"
+#include "sim/Random.hh"
 
 using namespace netdimm;
 
@@ -317,4 +321,192 @@ TEST(MemoryController, OneServiceEventPendingUnderLazyIssue)
         std::uint64_t(handlerReqs) * 64 + std::uint64_t(hostReads);
     ASSERT_EQ(f.mc.beatsServiced(), beats);
     EXPECT_LE(executed, 2 * beats);
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a over a stream of integers (8 bytes each). */
+struct Fnv
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t count = 0;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** Digests of every issued beat and every delivered completion. */
+struct Schedule
+{
+    Fnv beats; ///< (bus tick, line, write, source) per beat
+    Fnv dones; ///< (tick, poisoned) or (tick) per completion
+};
+
+/**
+ * A seeded random request stream through one controller: 1-4-line
+ * reads and writes from host and handler sources, arriving in
+ * clusters, with a burst of 64 write beats in one tick every 64
+ * requests (past the 48-beat drain watermark) and ECC injection on.
+ */
+Schedule
+seededControllerStream(MemArbPolicy arb, std::uint64_t seed)
+{
+    EventQueue eq;
+    SystemConfig cfg;
+    cfg.memCtrl.handlerArb = arb;
+    cfg.memCtrl.handlerBusShare = 0.25;
+    cfg.faults.eccCorrectableProb = 0.02;
+    cfg.faults.eccUncorrectableProb = 0.01;
+    DramGeometry g = cfg.hostMem;
+    g.channels = 1;
+    MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
+    FaultDomain ecc("mc.ecc", seed);
+    mc.setFaultInjection(&ecc, &cfg.faults);
+
+    Schedule s;
+    mc.setTraceHook([&s](Tick t, Addr a, bool w, MemSource src) {
+        s.beats.add(t);
+        s.beats.add(a);
+        s.beats.add(w);
+        s.beats.add(std::uint64_t(src));
+        ++s.beats.count;
+    });
+
+    Random rng(seed);
+    const MemSource sources[] = {MemSource::HostCpu, MemSource::HostDma,
+                                 MemSource::Handler};
+    auto submit = [&](Addr addr, std::uint32_t lines, bool write,
+                      MemSource src) {
+        auto req = makeMemRequest(addr, lines * 64, write, src);
+        // The controller keeps the request alive until its completion
+        // runs, so a raw pointer can read the poisoned flag there.
+        MemRequest *raw = req.get();
+        req->onDone = [&s, raw](Tick t) {
+            s.dones.add(t);
+            s.dones.add(raw->poisoned);
+            ++s.dones.count;
+        };
+        mc.access(req);
+    };
+    Tick at = 0;
+    for (int i = 0; i < 2000; ++i) {
+        // Clustered arrivals: a third land in the previous tick.
+        if (!rng.bernoulli(0.35))
+            at += nsToTicks(double(rng.uniformInt(1, 40)));
+        // A few hot rows plus scattered lines, so row hits and
+        // misses both occur.
+        Addr line = rng.bernoulli(0.5)
+                        ? rng.uniformInt(0, 7) * 2048 +
+                              rng.uniformInt(0, 31)
+                        : rng.uniformInt(0, (1u << 22) - 1);
+        std::uint32_t lines = std::uint32_t(rng.uniformInt(1, 4));
+        bool write = rng.bernoulli(0.4);
+        MemSource src = sources[rng.uniformInt(0, 2)];
+        bool drainBurst = i % 64 == 63;
+        eq.schedule(at, [=, &submit, &rng] {
+            submit(line * 64, lines, write, src);
+            if (!drainBurst)
+                return;
+            for (int w = 0; w < 16; ++w)
+                submit(rng.uniformInt(0, (1u << 22) - 1) * 64, 4, true,
+                       MemSource::HostCpu);
+        });
+    }
+    eq.run();
+    return s;
+}
+
+} // namespace
+
+TEST(MemoryController, BeatScheduleIsPinned)
+{
+    // Every beat's bus tick and every completion's tick and poison
+    // flag, under each arbitration policy, are pinned to recorded
+    // digests: a change to how the controller keeps its per-request
+    // and per-beat state must move neither a beat nor a completion.
+    struct Pin
+    {
+        MemArbPolicy arb;
+        std::uint64_t beats, beatHash, dones, doneHash;
+    };
+    const Pin pins[] = {
+        {MemArbPolicy::HostPriority, 6957, 0x1be5ce2743a98589ull, 2496,
+         0xe0a3a7112c0091bdull},
+        {MemArbPolicy::Fair, 6957, 0xf2651407644483ccull, 2496,
+         0x2279bd4a09b40198ull},
+        {MemArbPolicy::StaticCap, 6957, 0x1dccf53ff78f34f7ull, 2496,
+         0x6d59e4a78456469bull},
+    };
+    for (const Pin &p : pins) {
+        SCOPED_TRACE(int(p.arb));
+        Schedule s = seededControllerStream(p.arb, 7);
+        EXPECT_EQ(s.beats.count, p.beats);
+        EXPECT_EQ(s.beats.hash, p.beatHash);
+        EXPECT_EQ(s.dones.count, p.dones);
+        EXPECT_EQ(s.dones.hash, p.doneHash);
+    }
+}
+
+TEST(MemoryController, SplitAndJoinScheduleIsPinned)
+{
+    // MemorySystem requests that cross a 256 B stripe (split across
+    // channels, joined on completion) and multi-line Llc accesses
+    // (joined per line, some lines hitting) over every host channel,
+    // pinned like BeatScheduleIsPinned.
+    EventQueue eq;
+    SystemConfig cfg;
+    MemorySystem mem(eq, "mem", cfg);
+    Llc llc(eq, "llc", cfg.llc, cfg.cpu, mem);
+    Schedule s;
+    for (std::uint32_t c = 0; c < mem.numChannels(); ++c) {
+        mem.channel(c).setTraceHook(
+            [&s, c](Tick t, Addr a, bool w, MemSource src) {
+                s.beats.add(c);
+                s.beats.add(t);
+                s.beats.add(a);
+                s.beats.add(w);
+                s.beats.add(std::uint64_t(src));
+                ++s.beats.count;
+            });
+    }
+    auto done = [&s](Tick t) {
+        s.dones.add(t);
+        ++s.dones.count;
+    };
+
+    Random rng(11);
+    const Addr stripe = HostAddressMap::stripeBytes;
+    Tick at = 0;
+    for (int i = 0; i < 1500; ++i) {
+        at += nsToTicks(double(rng.uniformInt(0, 30)));
+        bool viaLlc = rng.bernoulli(0.5);
+        bool write = rng.bernoulli(0.3);
+        std::uint32_t lines = std::uint32_t(rng.uniformInt(1, 4));
+        // A small footprint so the LLC sees hits as well as misses;
+        // direct requests start up to two lines before a stripe end.
+        Addr addr =
+            viaLlc ? rng.uniformInt(0, 4095) * 64
+                   : rng.uniformInt(1, 1u << 16) * stripe -
+                         rng.uniformInt(1, 128);
+        eq.schedule(at, [=, &mem, &llc] {
+            auto req = makeMemRequest(addr, lines * 64, write,
+                                      MemSource::HostCpu, done);
+            if (viaLlc)
+                llc.access(req);
+            else
+                mem.access(req);
+        });
+    }
+    eq.run();
+    EXPECT_EQ(s.dones.count, 1500u);
+    EXPECT_EQ(s.beats.count, 4127u);
+    EXPECT_EQ(s.beats.hash, 0xf5f3cc481356175cull);
+    EXPECT_EQ(s.dones.hash, 0x29f1f1119d040540ull);
 }
