@@ -1,6 +1,7 @@
 #include "cache/Llc.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace netdimm
 {
@@ -10,9 +11,13 @@ Llc::Llc(EventQueue &eq, std::string name, const CacheConfig &cfg,
     : SimObject(eq, std::move(name)), _cfg(cfg), _downstream(downstream),
       _hitLatency(cpu.cycles(cfg.hitCycles))
 {
-    ND_ASSERT(cfg.assoc > 0 && cfg.lineBytes > 0);
+    // Tags and set indices are shifts and masks, so the line size
+    // and the set count must be powers of two.
+    ND_ASSERT(cfg.assoc > 0 && std::has_single_bit(cfg.lineBytes));
     _sets = std::uint32_t(cfg.sizeBytes / cfg.lineBytes / cfg.assoc);
-    ND_ASSERT(_sets > 0);
+    ND_ASSERT(std::has_single_bit(_sets));
+    _lineShift = std::uint32_t(std::countr_zero(cfg.lineBytes));
+    _setMask = _sets - 1;
     _ddioWays = std::max(
         1u, std::uint32_t(double(cfg.assoc) * cfg.ddioFraction + 0.5));
     _lines.resize(std::size_t(_sets) * cfg.assoc);
@@ -21,14 +26,14 @@ Llc::Llc(EventQueue &eq, std::string name, const CacheConfig &cfg,
 std::uint32_t
 Llc::setIndex(Addr addr) const
 {
-    return std::uint32_t((addr / _cfg.lineBytes) % _sets);
+    return std::uint32_t((addr >> _lineShift) & _setMask);
 }
 
 Llc::Line *
 Llc::findLine(Addr addr)
 {
-    Addr tag = addr / _cfg.lineBytes;
-    std::uint32_t set = setIndex(addr);
+    Addr tag = addr >> _lineShift;
+    std::uint32_t set = std::uint32_t(tag & _setMask);
     for (std::uint32_t w = 0; w < _cfg.assoc; ++w) {
         Line &l = _lines[std::size_t(set) * _cfg.assoc + w];
         if (l.valid && l.tag == tag)
@@ -64,7 +69,7 @@ Llc::victim(std::uint32_t set, bool ddio_only, MemSource src)
     ND_ASSERT(best);
     if (best->dirty) {
         _writebacks.inc();
-        auto wb = makeMemRequest(best->tag * _cfg.lineBytes,
+        auto wb = makeMemRequest(best->tag << _lineShift,
                                  _cfg.lineBytes, true, src);
         _downstream.access(wb);
     }
@@ -97,7 +102,7 @@ Llc::access(const MemRequestPtr &req)
     // the fill request directly. Event ordering matches the generic
     // path exactly: one schedule on a hit, none on a miss.
     if (nlines == 1) {
-        Addr a = (req->addr / _cfg.lineBytes) * _cfg.lineBytes;
+        Addr a = req->addr & ~Addr(_cfg.lineBytes - 1);
         Line *l = findLine(a);
         if (l) {
             _hits.inc();
@@ -126,7 +131,7 @@ Llc::access(const MemRequestPtr &req)
                 std::uint32_t set = setIndex(a);
                 Line &v = victim(set, false, src);
                 v.valid = true;
-                v.tag = a / _cfg.lineBytes;
+                v.tag = a >> _lineShift;
                 v.dirty = is_write;
                 v.ddio = false;
                 touch(v);
@@ -172,7 +177,7 @@ Llc::access(const MemRequestPtr &req)
                 std::uint32_t set = setIndex(a);
                 Line &v = victim(set, false, src);
                 v.valid = true;
-                v.tag = a / _cfg.lineBytes;
+                v.tag = a >> _lineShift;
                 v.dirty = is_write;
                 v.ddio = false;
                 touch(v);
@@ -200,7 +205,7 @@ Llc::dmaWrite(Addr addr, std::uint32_t size, MemSource src,
             std::uint32_t set = setIndex(a);
             Line &v = victim(set, /*ddio_only=*/true, src);
             v.valid = true;
-            v.tag = a / _cfg.lineBytes;
+            v.tag = a >> _lineShift;
             l = &v;
         }
         l->dirty = true;

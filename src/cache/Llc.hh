@@ -78,6 +78,10 @@ class Llc : public SimObject, public MemTarget
     MemTarget &_downstream;
     Tick _hitLatency;
     std::uint32_t _sets;
+    /** log2(lineBytes): tag = addr >> _lineShift. */
+    std::uint32_t _lineShift;
+    /** _sets - 1 (a power of two): set = tag & _setMask. */
+    Addr _setMask;
     std::uint32_t _ddioWays;
     std::vector<Line> _lines; ///< _sets * assoc, row-major by set
     std::uint64_t _useClock = 0;

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/InlineFunction.hh"
 #include "sim/Pool.hh"
@@ -68,13 +69,25 @@ struct MemRequest
      * propagation, not silent corruption).
      */
     bool poisoned = false;
+    /**
+     * Controller-private: beats of this request not yet issued. Set
+     * by MemoryController::access() and counted down per beat; zero
+     * whenever the request is not queued in a controller. A request
+     * sits in at most one controller at a time, which access()
+     * asserts.
+     */
+    std::uint32_t beatsLeft = 0;
+    /** Controller-private: latest done tick of the issued beats. */
+    Tick lastDone = 0;
     Completion onDone;
 
     MemRequest() = default;
 
-    MemRequest(Addr a, std::uint32_t s, bool w, MemSource src,
-               Completion cb)
-        : addr(a), size(s), write(w), source(src), onDone(std::move(cb))
+    /** @p cb is any callable (or nullptr); built in place in onDone. */
+    template <typename F>
+    MemRequest(Addr a, std::uint32_t s, bool w, MemSource src, F &&cb)
+        : addr(a), size(s), write(w), source(src),
+          onDone(std::forward<F>(cb))
     {}
 };
 
@@ -82,15 +95,18 @@ using MemRequestPtr = std::shared_ptr<MemRequest>;
 
 /**
  * Pool-aware factory: request + control block in one recycled
- * allocation, mirroring makePacket().
+ * allocation, mirroring makePacket(). The completion @p cb is
+ * forwarded to the request and constructed in place; a Completion
+ * handed in is moved once.
  */
+template <typename F = std::nullptr_t>
 inline MemRequestPtr
 makeMemRequest(Addr addr, std::uint32_t size, bool write, MemSource src,
-               MemRequest::Completion cb = nullptr)
+               F &&cb = nullptr)
 {
     return std::allocate_shared<MemRequest>(PoolAlloc<MemRequest>{},
                                             addr, size, write, src,
-                                            std::move(cb));
+                                            std::forward<F>(cb));
 }
 
 } // namespace netdimm

@@ -32,6 +32,9 @@ void
 MemoryController::access(const MemRequestPtr &req)
 {
     ND_ASSERT(req && req->size > 0);
+    // The beat count lives in the request, so it can be queued in
+    // only one controller at a time.
+    ND_ASSERT(req->beatsLeft == 0);
     req->issued = curTick();
 
     // Split into cacheline beats, each hitting its own decoded bank.
@@ -39,16 +42,15 @@ MemoryController::access(const MemRequestPtr &req)
     Addr last = (req->addr + req->size - 1) & ~Addr(cachelineBytes - 1);
     std::uint32_t nbeats =
         std::uint32_t((last - first) / cachelineBytes) + 1;
-
-    auto parent = std::allocate_shared<Parent>(PoolAlloc<Parent>{});
-    parent->req = req;
-    parent->beatsLeft = nbeats;
+    req->beatsLeft = nbeats;
+    req->lastDone = 0;
 
     Tick ready = curTick() + _cfg.frontendLatency;
     bool handler = req->source == MemSource::Handler;
+    BeatQueue &q = req->write ? _writeQ : _readQ;
     for (std::uint32_t i = 0; i < nbeats; ++i) {
         Beat b;
-        b.parent = parent;
+        b.req = req;
         b.lineAddr = first + Addr(i) * cachelineBytes;
         DramAddress da = _decoder.decode(b.lineAddr);
         b.row = da.rowId(_geo);
@@ -56,7 +58,7 @@ MemoryController::access(const MemRequestPtr &req)
         b.write = req->write;
         b.handler = handler;
         b.ready = ready;
-        (req->write ? _writeQ : _readQ).push_back(b);
+        q.push_back(std::move(b));
     }
     if (handler)
         _handlerQueued += nbeats;
@@ -108,6 +110,11 @@ MemoryController::pickBeat(Beat &out)
     }
 
     for (BeatQueue *q : order) {
+        // Ready beats are a prefix of the queue (see
+        // pickClassAware()): if the front beat is not ready, no beat
+        // is, and the scan would find nothing.
+        if (q->empty() || (*q)[0].ready > curTick())
+            continue;
         std::size_t pick = pickClassAware(*q);
         if (pick == q->size())
             continue;
@@ -204,7 +211,7 @@ MemoryController::capAllowedTick() const
 }
 
 void
-MemoryController::issueBeat(const Beat &beat)
+MemoryController::issueBeat(Beat &beat)
 {
     BankState &bs = _banks[beat.bankIdx];
     std::uint64_t row = beat.row;
@@ -247,7 +254,7 @@ MemoryController::issueBeat(const Beat &beat)
     // the cost of the scrub latency on this beat's completion.
     if (_faultDomain) {
         if (_faultDomain->inject(_faultCfg->eccUncorrectableProb)) {
-            beat.parent->req->poisoned = true;
+            beat.req->poisoned = true;
             _eccUncorrectable.inc();
         } else if (_faultDomain->inject(_faultCfg->eccCorrectableProb)) {
             done += _faultCfg->eccScrubLatency;
@@ -267,35 +274,35 @@ MemoryController::issueBeat(const Beat &beat)
         _handlerBusTicks += burst;
     }
     if (_trace)
-        _trace(bus_start, beat.lineAddr, beat.write,
-               beat.parent->req->source);
+        _trace(bus_start, beat.lineAddr, beat.write, beat.req->source);
     finishBeat(beat, done);
 }
 
 void
-MemoryController::finishBeat(const Beat &beat, Tick done)
+MemoryController::finishBeat(Beat &beat, Tick done)
 {
-    ParentPtr parent = beat.parent;
-    parent->lastDone = std::max(parent->lastDone, done);
-    ND_ASSERT(parent->beatsLeft > 0);
-    if (--parent->beatsLeft > 0)
+    MemRequest &req = *beat.req;
+    req.lastDone = std::max(req.lastDone, done);
+    ND_ASSERT(req.beatsLeft > 0);
+    if (--req.beatsLeft > 0)
         return;
 
-    const MemRequestPtr &req = parent->req;
-    Tick respond = parent->lastDone + _cfg.backendLatency;
-    Tick lat = respond - req->issued;
+    Tick respond = req.lastDone + _cfg.backendLatency;
+    Tick lat = respond - req.issued;
 
-    auto &st = _stats[std::size_t(req->source)];
-    if (req->write) {
+    auto &st = _stats[std::size_t(req.source)];
+    if (req.write) {
         st.writeLatencyNs.sample(ticksToNs(lat));
-        st.bytesWritten.inc(req->size);
+        st.bytesWritten.inc(req.size);
     } else {
         st.readLatencyNs.sample(ticksToNs(lat));
-        st.bytesRead.inc(req->size);
+        st.bytesRead.inc(req.size);
     }
 
-    if (req->onDone) {
-        eventq().schedule(respond, [req, respond] { req->onDone(respond); });
+    if (req.onDone) {
+        eventq().schedule(respond, [req = std::move(beat.req), respond] {
+            req->onDone(respond);
+        });
     }
 }
 

@@ -150,17 +150,14 @@ class MemoryController : public SimObject, public MemTarget
     double busUtilization() const;
 
   private:
-    struct Parent
-    {
-        MemRequestPtr req;
-        std::uint32_t beatsLeft;
-        Tick lastDone = 0;
-    };
-    using ParentPtr = std::shared_ptr<Parent>;
-
+    /**
+     * One cacheline of a queued request. The request itself counts
+     * its outstanding beats (MemRequest::beatsLeft, lastDone); the
+     * beat that finishes it moves its pointer into the completion.
+     */
     struct Beat
     {
-        ParentPtr parent;
+        MemRequestPtr req;
         Addr lineAddr;
         std::uint64_t row;     ///< decoded row id, computed at enqueue
         std::uint32_t bankIdx; ///< rank * banksPerDevice + bank
@@ -229,7 +226,8 @@ class MemoryController : public SimObject, public MemTarget
 
     void scheduleService(Tick when);
     void service();
-    /** Pick the next beat to issue; returns false if nothing ready. */
+    /** Pick the next beat to issue; returns false if nothing ready
+     *  (in O(1) when neither queue's front beat is ready). */
     bool pickBeat(Beat &out);
     /** Class-aware pick inside @p q; npos when nothing issuable. */
     std::size_t pickClassAware(const BeatQueue &q) const;
@@ -242,8 +240,8 @@ class MemoryController : public SimObject, public MemTarget
     }
     /** Earliest future work in @p q, cap-blocking accounted. */
     Tick queueNext(const BeatQueue &q) const;
-    void issueBeat(const Beat &beat);
-    void finishBeat(const Beat &beat, Tick done);
+    void issueBeat(Beat &beat);
+    void finishBeat(Beat &beat, Tick done);
 };
 
 } // namespace netdimm

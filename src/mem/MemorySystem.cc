@@ -31,9 +31,8 @@ MemorySystem::attachNetDimm(std::uint64_t bytes, std::uint32_t channel,
 }
 
 void
-MemorySystem::routeOne(const MemRequestPtr &req)
+MemorySystem::routeOne(const MemRequestPtr &req, const ChannelRoute &route)
 {
-    ChannelRoute route = _map.route(req->addr);
     if (route.isNetDimm) {
         ND_ASSERT(route.netDimmIndex < _regions.size());
         _regions[route.netDimmIndex].target->access(req);
@@ -55,7 +54,7 @@ MemorySystem::access(const MemRequestPtr &req)
     if (first.channel == last.channel &&
         first.isNetDimm == last.isNetDimm &&
         first.netDimmIndex == last.netDimmIndex) {
-        routeOne(req);
+        routeOne(req, first);
         return;
     }
 
@@ -75,8 +74,7 @@ MemorySystem::access(const MemRequestPtr &req)
     // Two passes so the join count is final before any part is
     // routed, without buffering the parts in a heap-allocated vector:
     // first count the route extents, then create and route each part.
-    auto partEnd = [&](Addr cursor) {
-        ChannelRoute r = _map.route(cursor);
+    auto partEnd = [&](Addr cursor, const ChannelRoute &r) {
         // Extent of this route: up to the next stripe boundary for
         // conventional memory; NetDIMM regions are contiguous.
         if (r.isNetDimm) {
@@ -88,11 +86,13 @@ MemorySystem::access(const MemRequestPtr &req)
         return std::min<Addr>(end, (cursor / stripe + 1) * stripe);
     };
     std::uint32_t nparts = 0;
-    for (Addr cursor = req->addr; cursor < end; cursor = partEnd(cursor))
+    for (Addr cursor = req->addr; cursor < end;
+         cursor = partEnd(cursor, _map.route(cursor)))
         ++nparts;
     join->left = nparts;
     for (Addr cursor = req->addr; cursor < end;) {
-        Addr part_end = partEnd(cursor);
+        ChannelRoute route = _map.route(cursor);
+        Addr part_end = partEnd(cursor, route);
         auto part = makeMemRequest(
             cursor, std::uint32_t(part_end - cursor), req->write,
             req->source, [join](Tick done) {
@@ -100,7 +100,7 @@ MemorySystem::access(const MemRequestPtr &req)
                 if (--join->left == 0 && join->cb)
                     join->cb(join->lastDone);
             });
-        routeOne(part);
+        routeOne(part, route);
         cursor = part_end;
     }
 }

@@ -68,7 +68,8 @@ class MemorySystem : public SimObject, public MemTarget
     std::vector<std::unique_ptr<MemoryController>> _channels;
     std::vector<RegionHandler> _regions;
 
-    void routeOne(const MemRequestPtr &req);
+    /** Hand @p req to the target of @p route, its start's route. */
+    void routeOne(const MemRequestPtr &req, const ChannelRoute &route);
 };
 
 } // namespace netdimm

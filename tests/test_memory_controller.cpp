@@ -220,6 +220,24 @@ TEST(MemoryController, LatencyGrowsUnderLoad)
     EXPECT_GT(loaded, lone);
 }
 
+TEST(MemoryControllerDeath, QueuedRequestCannotEnterASecondController)
+{
+    // The outstanding-beat count lives in the request, so a request
+    // still queued in one controller must not be handed to another.
+    Fixture f;
+    MemoryController other(f.eq, "mc2", f.cfg.dram,
+                           Fixture::perChannel(f.cfg.hostMem),
+                           f.cfg.memCtrl);
+    auto req = makeMemRequest(0, 128, false, MemSource::HostCpu);
+    f.mc.access(req);
+    EXPECT_DEATH(other.access(req), "beatsLeft == 0");
+    // Once it has completed, the request may be submitted again.
+    f.eq.run();
+    other.access(req);
+    f.eq.run();
+    EXPECT_EQ(other.beatsServiced(), 2u);
+}
+
 namespace
 {
 
