@@ -425,8 +425,11 @@ TEST(MemoryController, StaticCapThrottlesHandlerClass)
 
 TEST(MemoryController, LegacyPathBitIdenticalWithoutHandlerTraffic)
 {
-    // Same host-only burst with arbitration configured vs default:
-    // completion ticks must be identical, tick for tick.
+    // With no handler traffic, host timing does not depend on the
+    // arbitration policy: the same host-only burst under each policy
+    // completes identically, tick for tick. (The name predates the
+    // one scheduler; the separate host-only pick path it refers to
+    // no longer exists.)
     auto run = [](MemArbPolicy arb) {
         SystemConfig cfg;
         cfg.memCtrl.handlerArb = arb;
