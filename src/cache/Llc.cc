@@ -85,106 +85,44 @@ Llc::victim(std::uint32_t set, bool ddio_only, MemSource src)
 void
 Llc::access(const MemRequestPtr &req)
 {
-    // Split into lines; all hits complete after the hit latency, any
-    // miss extends completion until its fill returns.
+    access(req->addr, req->size, req->write, req->source,
+           std::move(req->onDone));
+}
+
+void
+Llc::accessLines(Addr first, Addr last, bool write, MemSource src,
+                 Completion cb)
+{
+    // All hits complete after the hit latency, any miss extends
+    // completion until its fill returns; the join reports the latest.
     struct Join
     {
         std::uint32_t left = 0;
         Tick lastDone = 0;
-        MemRequest::Completion cb;
-        EventQueue *eq;
+        Completion cb;
     };
-    std::uint32_t nlines = 0;
-    forEachLine(req->addr, req->size, [&](Addr) { ++nlines; });
-
-    // Single-line fast path (the common case for cacheline-sized
-    // traffic): no join state, the completion rides the hit event or
-    // the fill request directly. Event ordering matches the generic
-    // path exactly: one schedule on a hit, none on a miss.
-    if (nlines == 1) {
-        Addr a = req->addr & ~Addr(_cfg.lineBytes - 1);
-        Line *l = findLine(a);
-        if (l) {
-            _hits.inc();
-            touch(*l);
-            l->ddio = false;
-            if (req->write)
-                l->dirty = true;
-            Tick done = curTick() + _hitLatency;
-            eventq().schedule(done,
-                              [cb = std::move(req->onDone), done] {
-                                  if (cb)
-                                      cb(done);
-                              });
-            return;
-        }
-        _misses.inc();
-        bool is_write = req->write;
-        MemSource src = req->source;
-        // The completion is too large to nest inside the fill's own
-        // inline completion; park it behind one pooled pointer.
-        auto cbp = std::allocate_shared<MemRequest::Completion>(
-            PoolAlloc<MemRequest::Completion>{}, std::move(req->onDone));
-        auto fill = makeMemRequest(
-            a, _cfg.lineBytes, false, src,
-            [this, a, is_write, src, cbp](Tick t) {
-                std::uint32_t set = setIndex(a);
-                Line &v = victim(set, false, src);
-                v.valid = true;
-                v.tag = a >> _lineShift;
-                v.dirty = is_write;
-                v.ddio = false;
-                touch(v);
-                if (*cbp)
-                    (*cbp)(t + _hitLatency);
-            });
-        _downstream.access(fill);
-        return;
-    }
-
-    // The cache owns the request's completion from here on; steal it
-    // (move — Completion is move-only and inline).
     auto join = std::allocate_shared<Join>(PoolAlloc<Join>{});
-    join->cb = std::move(req->onDone);
-    join->eq = &eventq();
-    join->left = nlines;
+    join->cb = std::move(cb);
+    join->left = std::uint32_t((last - first) >> _lineShift) + 1;
 
     auto lineDone = [join](Tick t) {
         join->lastDone = std::max(join->lastDone, t);
         if (--join->left == 0 && join->cb)
             join->cb(join->lastDone);
     };
+    for (Addr a = first; a <= last; a += _cfg.lineBytes)
+        accessLine(a, write, src, lineDone);
+}
 
-    forEachLine(req->addr, req->size, [&](Addr a) {
-        Line *l = findLine(a);
-        if (l) {
-            _hits.inc();
-            touch(*l);
-            l->ddio = false;
-            if (req->write)
-                l->dirty = true;
-            Tick done = curTick() + _hitLatency;
-            eventq().schedule(done, [lineDone, done] { lineDone(done); });
-            return;
-        }
-        _misses.inc();
-        // Fill from memory, then install.
-        bool is_write = req->write;
-        MemSource src = req->source;
-        auto fill = makeMemRequest(
-            a, _cfg.lineBytes, false, src,
-            [this, a, is_write, src, lineDone](Tick t) {
-                std::uint32_t set = setIndex(a);
-                Line &v = victim(set, false, src);
-                v.valid = true;
-                v.tag = a >> _lineShift;
-                v.dirty = is_write;
-                v.ddio = false;
-                touch(v);
-                lineDone(t + _hitLatency);
-            });
-        _downstream.access(fill);
-    });
+void
+Llc::install(Addr a, bool write, MemSource src)
+{
+    Line &v = victim(setIndex(a), false, src);
+    v.valid = true;
+    v.tag = a >> _lineShift;
+    v.dirty = write;
+    v.ddio = false;
+    touch(v);
 }
 
 void

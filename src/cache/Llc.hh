@@ -17,6 +17,8 @@
 #define NETDIMM_CACHE_LLC_HH
 
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mem/MemoryController.hh"
@@ -39,6 +41,18 @@ class Llc : public SimObject, public MemTarget
 
     /** Core-side demand access (read or write allocate). */
     void access(const MemRequestPtr &req) override;
+
+    /**
+     * The same demand access without a MemRequest: @p cb (any
+     * callable taking the done tick, a Completion, or nullptr) runs
+     * once every line of [addr, addr+size) has hit or been filled.
+     * A single-line access keeps @p cb as it is, so a small callable
+     * rides the hit event or the fill's completion with no extra
+     * state; a multi-line one joins its lines behind one Completion.
+     */
+    template <typename F>
+    void access(Addr addr, std::uint32_t size, bool write, MemSource src,
+                F &&cb);
 
     /** DDIO allocate-write from a NIC DMA engine. */
     void dmaWrite(Addr addr, std::uint32_t size, MemSource src,
@@ -88,6 +102,32 @@ class Llc : public SimObject, public MemTarget
 
     stats::Scalar _hits, _misses, _ddioInserts, _ddioLeaks, _writebacks;
 
+    /** Hit or fill the line at @p a; @p cb gets the done tick. */
+    template <typename F>
+    void accessLine(Addr a, bool write, MemSource src, F &&cb);
+    /** Multi-line access [first, last]: joins the lines' dones. */
+    void accessLines(Addr first, Addr last, bool write, MemSource src,
+                     Completion cb);
+    /** Miss on @p a: fetch it, install it, then run @p cb. */
+    template <typename F>
+    void fill(Addr a, bool write, MemSource src, F &&cb);
+    /** Install the filled line @p a (evicting a victim). */
+    void install(Addr a, bool write, MemSource src);
+
+    /** Run @p cb at @p t unless it is nullptr or an empty
+     *  Completion. */
+    template <typename Fn>
+    static void
+    runCompletion(const Fn &cb, Tick t)
+    {
+        if constexpr (std::is_same_v<Fn, Completion>) {
+            if (cb)
+                cb(t);
+        } else if constexpr (!std::is_same_v<Fn, std::nullptr_t>) {
+            cb(t);
+        }
+    }
+
     std::uint32_t setIndex(Addr addr) const;
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
@@ -109,6 +149,65 @@ class Llc : public SimObject, public MemTarget
             fn(a);
     }
 };
+
+template <typename F>
+void
+Llc::access(Addr addr, std::uint32_t size, bool write, MemSource src,
+            F &&cb)
+{
+    Addr first = addr & ~Addr(_cfg.lineBytes - 1);
+    Addr last = (addr + size - 1) & ~Addr(_cfg.lineBytes - 1);
+    if (first == last)
+        accessLine(first, write, src, std::forward<F>(cb));
+    else
+        accessLines(first, last, write, src,
+                    Completion(std::forward<F>(cb)));
+}
+
+template <typename F>
+void
+Llc::accessLine(Addr a, bool write, MemSource src, F &&cb)
+{
+    using Fn = std::decay_t<F>;
+    if (Line *l = findLine(a)) {
+        _hits.inc();
+        touch(*l);
+        l->ddio = false;
+        if (write)
+            l->dirty = true;
+        // One event per hit, with or without a callback.
+        Tick done = curTick() + _hitLatency;
+        eventq().schedule(done, [cb = Fn(std::forward<F>(cb)), done] {
+            runCompletion(cb, done);
+        });
+        return;
+    }
+    _misses.inc();
+    if constexpr (std::is_same_v<Fn, Completion>) {
+        // A Completion is too large to nest inside the fill's own
+        // inline completion; park it behind one pooled pointer.
+        auto cbp = std::allocate_shared<Completion>(
+            PoolAlloc<Completion>{}, std::forward<F>(cb));
+        fill(a, write, src, [cbp](Tick t) { runCompletion(*cbp, t); });
+    } else {
+        fill(a, write, src, std::forward<F>(cb));
+    }
+}
+
+template <typename F>
+void
+Llc::fill(Addr a, bool write, MemSource src, F &&cb)
+{
+    // Read the line from memory, then install it; the fill schedules
+    // no event of its own.
+    _downstream.access(makeMemRequest(
+        a, _cfg.lineBytes, false, src,
+        [this, a, write, src,
+         cb = std::decay_t<F>(std::forward<F>(cb))](Tick t) {
+            install(a, write, src);
+            runCompletion(cb, t + _hitLatency);
+        }));
+}
 
 } // namespace netdimm
 

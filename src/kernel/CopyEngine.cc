@@ -35,14 +35,13 @@ CopyEngine::issueLine(const std::shared_ptr<CopyState> &st)
     if (st->nextLine >= st->lines)
         return;
     std::uint32_t i = st->nextLine++;
-    auto rd = makeMemRequest(
+    _llc.access(
         st->src + Addr(i) * cachelineBytes, cachelineBytes, false,
         MemSource::HostCpu, [this, st, i](Tick t) {
             // Store of the line: posted write through the LLC.
-            auto wr = makeMemRequest(st->dst + Addr(i) * cachelineBytes,
-                                     cachelineBytes, true,
-                                     MemSource::HostCpu, nullptr);
-            _llc.access(wr);
+            _llc.access(st->dst + Addr(i) * cachelineBytes,
+                        cachelineBytes, true, MemSource::HostCpu,
+                        nullptr);
 
             Tick done = t + st->perLineCpu;
             st->lastDone = std::max(st->lastDone, done);
@@ -56,7 +55,6 @@ CopyEngine::issueLine(const std::shared_ptr<CopyState> &st)
                 issueLine(st); // refill the window
             }
         });
-    _llc.access(rd);
 }
 
 void

@@ -203,9 +203,7 @@ void
 Node::cpuAccess(Addr addr, std::uint32_t size, bool write,
                 MemRequest::Completion cb)
 {
-    auto req = makeMemRequest(addr, size, write, MemSource::HostCpu,
-                              std::move(cb));
-    _llc->access(req);
+    _llc->access(addr, size, write, MemSource::HostCpu, std::move(cb));
 }
 
 Addr
