@@ -1,3 +1,12 @@
+/**
+ * @file
+ * allocCache's pools are indexed by DimmDecoder's sub-array index, so
+ * this file never derives the Fig. 9 layout itself. The prefill and
+ * every refill and slow take are hint-less zone allocations: they
+ * land wherever the zone's round-robin cursor points, not on a chosen
+ * sub-array.
+ */
+
 #include "kernel/AllocCache.hh"
 
 namespace netdimm
@@ -8,36 +17,20 @@ AllocCache::AllocCache(EventQueue &eq, std::string name,
                        std::uint32_t pages_per_subarray,
                        Tick refill_delay)
     : SimObject(eq, std::move(name)), _zone(zone_alloc),
+      _dec(zone_alloc.decoder()), _base(zone_alloc.base()),
       _perSa(pages_per_subarray), _refillDelay(refill_delay)
 {
     std::uint32_t total = _zone.totalSubArrays();
     _pool.resize(total);
-    // Prefill: pages_per_subarray pages from every distinct
-    // sub-array (boot-time work, not simulated time).
-    for (std::uint32_t sa = 0; sa < total; ++sa) {
-        for (std::uint32_t i = 0; i < _perSa; ++i) {
-            // Craft a hint inside this sub-array by asking the zone
-            // allocator directly: slot addresses enumerate it.
-            Addr page = _zone.allocPage(std::nullopt);
-            _pool[saOf(page)].push_back(page);
-            ++_cached;
-        }
+    // Prefill (boot-time work, not simulated time): the zone's
+    // round-robin cursor visits every sub-array once per `total`
+    // hint-less allocations, so these leave each sub-array's pool
+    // holding its first pages_per_subarray page slots.
+    for (std::uint32_t i = 0; i < total * _perSa; ++i) {
+        Addr page = _zone.allocPage(std::nullopt);
+        _pool[_dec.subArrayIndex(page - _base)].push_back(page);
+        ++_cached;
     }
-}
-
-std::uint32_t
-AllocCache::saOf(Addr addr) const
-{
-    // Reuse the zone allocator's decoding by comparing against a
-    // canonical address per sub-array: NetdimmZoneAllocator exposes
-    // sameSubArray; for indexing we decode directly.
-    const DimmDecoder &dec = _zone.decoder();
-    DramAddress da = dec.decode(addr - _zone.base());
-    std::uint32_t sa_global =
-        da.subArray * dec.geometry().banksPerDevice + da.bank;
-    std::uint32_t per_rank = dec.geometry().banksPerDevice *
-                             dec.geometry().subArraysPerBank;
-    return da.rank * per_rank + sa_global;
 }
 
 Addr
@@ -54,7 +47,9 @@ AllocCache::takeFrom(std::uint32_t sa, bool &fast)
         return page;
     }
     // Cache empty for this sub-array: the caller pays the slow
-    // __alloc_netdimm_pages path (still best effort on the hint).
+    // __alloc_netdimm_pages path, which is hint-less here: the page
+    // comes from the zone's round-robin cursor, so it shares the
+    // hint's sub-array only by chance.
     fast = false;
     _slowAllocs.inc();
     return _zone.allocPage(std::nullopt);
@@ -63,7 +58,7 @@ AllocCache::takeFrom(std::uint32_t sa, bool &fast)
 Addr
 AllocCache::take(Addr hint, bool &fast)
 {
-    return takeFrom(saOf(hint), fast);
+    return takeFrom(_dec.subArrayIndex(hint - _base), fast);
 }
 
 Addr
@@ -85,7 +80,7 @@ AllocCache::takeAny(bool &fast)
 void
 AllocCache::release(Addr page)
 {
-    std::uint32_t sa = saOf(page);
+    std::uint32_t sa = _dec.subArrayIndex(page - _base);
     if (_pool[sa].size() < _perSa) {
         _pool[sa].push_back(page);
         ++_cached;
@@ -113,10 +108,12 @@ AllocCache::doRefill()
     std::uint32_t sa = _refillQueue.front();
     _refillQueue.pop_front();
     if (_pool[sa].size() < _perSa && _zone.freePages() > 0) {
-        // Best effort: the refill may land on another sub-array if
-        // this one is drained; keep whatever we got.
+        // The refill is hint-less: it takes the zone's next
+        // round-robin page, which lands on sub-array sa only by
+        // chance. Keep it if its own sub-array's pool has room, else
+        // free it straight back.
         Addr page = _zone.allocPage(std::nullopt);
-        std::uint32_t got = saOf(page);
+        std::uint32_t got = _dec.subArrayIndex(page - _base);
         if (_pool[got].size() < _perSa) {
             _pool[got].push_back(page);
             ++_cached;

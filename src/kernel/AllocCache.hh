@@ -61,6 +61,8 @@ class AllocCache : public SimObject
 
   private:
     NetdimmZoneAllocator &_zone;
+    const DimmDecoder &_dec; ///< the zone's; maps a page to its pool
+    Addr _base;              ///< the zone's region base
     std::uint32_t _perSa;
     Tick _refillDelay;
     /** Cached pages per sub-array index. */
@@ -72,7 +74,6 @@ class AllocCache : public SimObject
 
     stats::Scalar _fastHits, _slowAllocs;
 
-    std::uint32_t saOf(Addr addr) const;
     Addr takeFrom(std::uint32_t sa, bool &fast);
     void scheduleRefill(std::uint32_t sa);
     void doRefill();

@@ -7,44 +7,17 @@ namespace netdimm
 
 NetdimmZoneAllocator::NetdimmZoneAllocator(Addr base,
                                            const DramGeometry &geo)
-    : _base(base), _decoder(geo), _ranks(geo.ranksPerChannel),
-      _saPerRank(geo.banksPerDevice * geo.subArraysPerBank),
-      _pagesPerSa(_decoder.pagesPerSubArray())
+    : _base(base), _decoder(geo)
 {
-    _free.resize(std::size_t(_ranks) * _saPerRank);
-    for (std::uint32_t r = 0; r < _ranks; ++r) {
-        for (std::uint32_t sa = 0; sa < _saPerRank; ++sa) {
-            auto &lst = _free[std::size_t(r) * _saPerRank + sa];
-            lst.reserve(_pagesPerSa);
-            // Push in reverse so pop_back() hands out slot 0 first.
-            for (std::uint32_t s = _pagesPerSa; s > 0; --s)
-                lst.push_back(std::uint16_t(s - 1));
-        }
+    std::uint32_t pages = _decoder.pagesPerSubArray();
+    _free.resize(_decoder.subArrays());
+    for (auto &lst : _free) {
+        lst.reserve(pages);
+        // Push in reverse so pop_back() hands out slot 0 first.
+        for (std::uint32_t s = pages; s > 0; --s)
+            lst.push_back(std::uint16_t(s - 1));
     }
-    _freePages = std::uint64_t(_ranks) * _saPerRank * _pagesPerSa;
-}
-
-std::uint32_t
-NetdimmZoneAllocator::saIndexOf(Addr host_addr) const
-{
-    ND_ASSERT(host_addr >= _base);
-    DramAddress da = _decoder.decode(host_addr - _base);
-    std::uint32_t sa_global =
-        da.subArray * _decoder.geometry().banksPerDevice + da.bank;
-    return da.rank * _saPerRank + sa_global;
-}
-
-Addr
-NetdimmZoneAllocator::slotAddr(std::uint32_t sa_index,
-                               std::uint16_t slot) const
-{
-    std::uint32_t rank = sa_index / _saPerRank;
-    std::uint32_t sa_global = sa_index % _saPerRank;
-    std::uint32_t bank =
-        sa_global % _decoder.geometry().banksPerDevice;
-    std::uint32_t sub_array =
-        sa_global / _decoder.geometry().banksPerDevice;
-    return _base + _decoder.pageAddress(rank, bank, sub_array, slot);
+    _freePages = std::uint64_t(_free.size()) * pages;
 }
 
 Addr
@@ -53,30 +26,28 @@ NetdimmZoneAllocator::allocPage(std::optional<Addr> hint)
     if (_freePages == 0)
         fatal("NET zone exhausted: no free pages");
 
+    std::uint32_t total = std::uint32_t(_free.size());
+    auto takeSlot = [&](std::uint32_t sa) {
+        std::uint16_t slot = _free[sa].back();
+        _free[sa].pop_back();
+        --_freePages;
+        return _base + _decoder.pageAddress(sa, slot);
+    };
     if (hint) {
-        std::uint32_t sa = saIndexOf(*hint);
-        auto &lst = _free[sa];
-        if (!lst.empty()) {
-            std::uint16_t slot = lst.back();
-            lst.pop_back();
-            --_freePages;
+        ND_ASSERT(*hint >= _base);
+        std::uint32_t sa = _decoder.subArrayIndex(*hint - _base);
+        if (!_free[sa].empty()) {
             _hintedHits.inc();
-            return slotAddr(sa, slot);
+            return takeSlot(sa);
         }
         _hintedMisses.inc();
         // Best effort failed; fall through to any sub-array.
     }
-
-    std::uint32_t total = std::uint32_t(_free.size());
     for (std::uint32_t probe = 0; probe < total; ++probe) {
         std::uint32_t sa = (_cursor + probe) % total;
-        auto &lst = _free[sa];
-        if (!lst.empty()) {
-            std::uint16_t slot = lst.back();
-            lst.pop_back();
-            --_freePages;
+        if (!_free[sa].empty()) {
             _cursor = (sa + 1) % total;
-            return slotAddr(sa, slot);
+            return takeSlot(sa);
         }
     }
     fatal("NET zone exhausted despite nonzero free count");
@@ -85,27 +56,19 @@ NetdimmZoneAllocator::allocPage(std::optional<Addr> hint)
 void
 NetdimmZoneAllocator::freePage(Addr page)
 {
-    ND_ASSERT(page % pageBytes == 0);
-    std::uint32_t sa = saIndexOf(page);
-    // Recover the slot index from the decoded row.
-    DramAddress da = _decoder.decode(page - _base);
-    std::uint32_t rows_per_page =
-        pageBytes / _decoder.geometry().rowBytes;
-    std::uint16_t slot = std::uint16_t(da.row / rows_per_page);
-    _free[sa].push_back(slot);
+    ND_ASSERT(page >= _base && page % pageBytes == 0);
+    Addr off = page - _base;
+    _free[_decoder.subArrayIndex(off)].push_back(
+        std::uint16_t(_decoder.pageSlot(off)));
     ++_freePages;
 }
 
 bool
 NetdimmZoneAllocator::sameSubArray(Addr a, Addr b) const
 {
-    return saIndexOf(a) == saIndexOf(b);
-}
-
-std::uint32_t
-NetdimmZoneAllocator::totalSubArrays() const
-{
-    return _ranks * _saPerRank;
+    ND_ASSERT(a >= _base && b >= _base);
+    return _decoder.subArrayIndex(a - _base) ==
+           _decoder.subArrayIndex(b - _base);
 }
 
 PageAllocator::PageAllocator(Addr normal_base,

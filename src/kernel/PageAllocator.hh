@@ -9,13 +9,14 @@
  *    NET(i) zones delegate to a per-NetDIMM NetdimmZoneAllocator.
  *
  *  - NetdimmZoneAllocator: the sub-array-aware allocator behind
- *    __alloc_netdimm_pages(zone, hint). It tracks free pages per
- *    (rank, bank, sub-array) of the NetDIMM's local DRAM (Fig. 9
- *    geometry, where pages sharing a bank+sub-array recur every 32
- *    pages) and, given a hint address, preferentially returns a page
- *    in the *same sub-array* so the in-memory clone can use FPM. The
- *    API is best effort: when the hinted sub-array has no free page
- *    the allocator falls back to any sub-array on the same rank.
+ *    __alloc_netdimm_pages(zone, hint). It keeps one free list of
+ *    page slots per sub-array of the NetDIMM's local DRAM, indexed by
+ *    DimmDecoder's sub-array index (the decoder alone knows the
+ *    Fig. 9 layout), and, given a hint address, preferentially
+ *    returns a page in the *same sub-array* so the in-memory clone
+ *    can use FPM. The API is best effort: when the hinted sub-array
+ *    has no free page the allocator falls back to the next
+ *    round-robin sub-array with one, on any rank.
  */
 
 #ifndef NETDIMM_KERNEL_PAGEALLOCATOR_HH
@@ -38,8 +39,6 @@ class NetdimmZoneAllocator
     /**
      * @param base host-physical base of the NetDIMM region.
      * @param geo local DRAM geometry of the NetDIMM.
-     * @param reserved_pages pages at the start of the region kept out
-     *        of the pool (descriptor rings etc. use low addresses).
      */
     NetdimmZoneAllocator(Addr base, const DramGeometry &geo);
 
@@ -60,7 +59,7 @@ class NetdimmZoneAllocator
     bool sameSubArray(Addr a, Addr b) const;
 
     /** Distinct sub-arrays across all ranks. */
-    std::uint32_t totalSubArrays() const;
+    std::uint32_t totalSubArrays() const { return _decoder.subArrays(); }
 
     std::uint64_t freePages() const { return _freePages; }
     std::uint64_t hintedHits() const { return _hintedHits.value(); }
@@ -72,18 +71,12 @@ class NetdimmZoneAllocator
   private:
     Addr _base;
     DimmDecoder _decoder;
-    std::uint32_t _ranks;
-    std::uint32_t _saPerRank;
-    std::uint32_t _pagesPerSa;
-    /** Free page slots per (rank * saPerRank + saGlobal). */
+    /** Free page slots per DimmDecoder sub-array index. */
     std::vector<std::vector<std::uint16_t>> _free;
     std::uint64_t _freePages = 0;
     std::uint32_t _cursor = 0; ///< round-robin for hint-less allocs
 
     stats::Scalar _hintedHits, _hintedMisses;
-
-    std::uint32_t saIndexOf(Addr host_addr) const;
-    Addr slotAddr(std::uint32_t sa_index, std::uint16_t slot) const;
 };
 
 class PageAllocator

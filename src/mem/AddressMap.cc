@@ -1,5 +1,7 @@
 #include "mem/AddressMap.hh"
 
+#include <bit>
+
 #include "sim/Logging.hh"
 
 namespace netdimm
@@ -7,37 +9,33 @@ namespace netdimm
 
 DimmDecoder::DimmDecoder(const DramGeometry &geo) : _geo(geo)
 {
-    ND_ASSERT(geo.rowBytes > 0 && geo.rowsPerSubArray > 0);
+    auto pow2 = [](std::uint64_t v) { return std::has_single_bit(v); };
+    auto log2u = [](std::uint64_t v) {
+        return std::uint32_t(std::countr_zero(v));
+    };
     std::uint64_t sub_array_bytes =
         std::uint64_t(geo.rowsPerSubArray) * geo.rowBytes;
-    ND_ASSERT(sub_array_bytes % pageBytes == 0);
+    if (!pow2(geo.ranksPerChannel) || !pow2(geo.banksPerDevice) ||
+        !pow2(geo.subArraysPerBank) || !pow2(geo.rowsPerSubArray) ||
+        !pow2(geo.rowBytes) || geo.rowBytes > pageBytes ||
+        sub_array_bytes < pageBytes)
+        panic("DimmDecoder: ranks %u, banks %u, sub-arrays %u, rows %u "
+              "and row bytes %u must be powers of two, with rows no "
+              "larger than a page and sub-arrays no smaller",
+              geo.ranksPerChannel, geo.banksPerDevice,
+              geo.subArraysPerBank, geo.rowsPerSubArray, geo.rowBytes);
+    // Consecutive pages stripe over as many (bank, sub-array) lanes
+    // as a sub-array holds pages before wrapping back; Fig. 9(c)
+    // shows 32 lanes for the reference geometry, giving the 128KB
+    // same-sub-array stride.
     _pagesPerSubArray = std::uint32_t(sub_array_bytes / pageBytes);
-    // Consecutive pages stripe over this many (bank, sub-array-slice)
-    // slots before wrapping back; Fig. 9(c) shows 32 slots for the
-    // reference geometry, giving the 128KB same-sub-array stride.
-    _slots = _pagesPerSubArray;
-    _slotStride = std::uint64_t(_slots) * pageBytes;
     _subArraysPerRank = geo.banksPerDevice * geo.subArraysPerBank;
-    _rankBytes = std::uint64_t(_subArraysPerRank) * sub_array_bytes;
-
-    auto pow2 = [](std::uint64_t v) { return v && !(v & (v - 1)); };
-    auto log2u = [](std::uint64_t v) {
-        std::uint32_t s = 0;
-        while ((std::uint64_t(1) << s) < v)
-            ++s;
-        return s;
-    };
-    _pow2 = pow2(_rankBytes) && pow2(_slots) &&
-            pow2(_pagesPerSubArray) && pow2(_subArraysPerRank) &&
-            pow2(geo.banksPerDevice) && pow2(geo.rowBytes) &&
-            pow2(geo.ranksPerChannel);
-    if (_pow2) {
-        _rankShift = log2u(_rankBytes);
-        _slotsShift = log2u(_slots);
-        _ppsaShift = log2u(_pagesPerSubArray);
-        _banksShift = log2u(geo.banksPerDevice);
-        _rowShift = log2u(geo.rowBytes);
-    }
+    _subArrays = _subArraysPerRank * geo.ranksPerChannel;
+    ND_ASSERT(_pagesPerSubArray <= _subArraysPerRank);
+    _slotShift = log2u(_pagesPerSubArray);
+    _saRankShift = log2u(_subArraysPerRank);
+    _banksShift = log2u(geo.banksPerDevice);
+    _rowShift = log2u(geo.rowBytes);
     _rowsPerPage = pageBytes / geo.rowBytes;
 }
 
@@ -45,50 +43,14 @@ DramAddress
 DimmDecoder::decode(Addr addr) const
 {
     DramAddress out;
-    if (_pow2) {
-        out.rank = std::uint32_t(addr >> _rankShift) &
-                   (_geo.ranksPerChannel - 1);
-        Addr in_rank = addr & (_rankBytes - 1);
-        static_assert(pageBytes == 4096, "page shift below assumes 4KB");
-        std::uint64_t page_idx = in_rank >> 12;
-        std::uint32_t page_off = std::uint32_t(in_rank) & (pageBytes - 1);
-        std::uint32_t slot = std::uint32_t(page_idx) & (_slots - 1);
-        std::uint64_t group = page_idx >> _slotsShift;
-        std::uint32_t page_slot =
-            std::uint32_t(group) & (_pagesPerSubArray - 1);
-        std::uint64_t sa_group = group >> _ppsaShift;
-        std::uint32_t sa_global =
-            std::uint32_t((sa_group << _slotsShift) + slot) &
-            (_subArraysPerRank - 1);
-        out.bank = sa_global & (_geo.banksPerDevice - 1);
-        out.subArray = sa_global >> _banksShift;
-        out.row = page_slot * _rowsPerPage + (page_off >> _rowShift);
-        out.column = page_off & (_geo.rowBytes - 1);
-        return out;
-    }
-    out.rank = std::uint32_t(addr / _rankBytes) % _geo.ranksPerChannel;
-    Addr in_rank = addr % _rankBytes;
-
-    std::uint64_t page_idx = in_rank / pageBytes;
-    std::uint32_t page_off = std::uint32_t(in_rank % pageBytes);
-
-    // Page striping: low bits pick the slot, the next bits pick which
-    // page *within* the sub-array, the rest pick the sub-array group.
-    std::uint32_t slot = std::uint32_t(page_idx % _slots);
-    std::uint64_t group = page_idx / _slots;
-    std::uint32_t page_slot = std::uint32_t(group % _pagesPerSubArray);
-    std::uint64_t sa_group = group / _pagesPerSubArray;
-
-    std::uint32_t sa_global =
-        std::uint32_t((sa_group * _slots + slot) % _subArraysPerRank);
-
-    out.bank = sa_global % _geo.banksPerDevice;
-    out.subArray = sa_global / _geo.banksPerDevice;
-
-    std::uint32_t rows_per_page = pageBytes / _geo.rowBytes;
-    std::uint32_t row_in_page = page_off / _geo.rowBytes;
-    out.row = page_slot * rows_per_page + row_in_page;
-    out.column = page_off % _geo.rowBytes;
+    std::uint32_t sa = subArrayIndex(addr);
+    std::uint32_t in_rank = sa & (_subArraysPerRank - 1);
+    out.rank = sa >> _saRankShift;
+    out.bank = in_rank & (_geo.banksPerDevice - 1);
+    out.subArray = in_rank >> _banksShift;
+    std::uint32_t page_off = std::uint32_t(addr) & (pageBytes - 1);
+    out.row = pageSlot(addr) * _rowsPerPage + (page_off >> _rowShift);
+    out.column = page_off & (_geo.rowBytes - 1);
     return out;
 }
 
@@ -101,13 +63,9 @@ DimmDecoder::pageAddress(std::uint32_t rank, std::uint32_t bank,
     ND_ASSERT(bank < _geo.banksPerDevice);
     ND_ASSERT(sub_array < _geo.subArraysPerBank);
     ND_ASSERT(page_slot < _pagesPerSubArray);
-
-    std::uint32_t sa_global = sub_array * _geo.banksPerDevice + bank;
-    std::uint32_t slot = sa_global % _slots;
-    std::uint64_t sa_group = sa_global / _slots;
-    std::uint64_t group = sa_group * _pagesPerSubArray + page_slot;
-    std::uint64_t page_idx = group * _slots + slot;
-    return Addr(rank) * _rankBytes + page_idx * pageBytes;
+    return pageAddress(rank * _subArraysPerRank +
+                           sub_array * _geo.banksPerDevice + bank,
+                       page_slot);
 }
 
 HostAddressMap::HostAddressMap(std::uint64_t conv_bytes,

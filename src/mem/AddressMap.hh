@@ -7,9 +7,12 @@
  * 1. DramAddress decoding inside one DIMM/rank set, following the
  *    paper's Fig. 9: 1KB rows, 128 rows per sub-array, 512 sub-arrays
  *    per bank, 16 banks. Consecutive 4KB pages stripe over 32
- *    (bank, sub-array-half) slots, so pages sharing a bank+sub-array
+ *    (bank, sub-array) lanes, so pages sharing a bank+sub-array
  *    recur every 128KB -- the property the sub-array-aware allocator
- *    relies on (Sec. 4.2.1).
+ *    relies on (Sec. 4.2.1). DimmDecoder also maps a page to its
+ *    (sub-array index, page slot) pair and back; the NetDIMM page
+ *    allocators keep their free lists by that pair and never derive
+ *    the layout themselves.
  *
  * 2. Channel interleaving across the host's physical address space
  *    (Sec. 2.3): single-channel, multi-channel, and flex mode, where
@@ -66,20 +69,65 @@ struct DramAddress
 
 /**
  * Decoder for one DIMM's internal geometry (used for both host DIMMs
- * and the NetDIMM local DRAM).
+ * and the NetDIMM local DRAM), and the only code that knows the
+ * Fig. 9 page layout. A DIMM-relative page number reads, from its
+ * low bits up:
+ *
+ *   | lane : log2(P) | page slot : log2(P) | group : rest |
+ *
+ * where P = pagesPerSubArray(). The page's sub-array index is
+ * (group << log2(P)) | lane, counted over every (rank, bank,
+ * sub-array) of the DIMM as rank * subArraysPerRank() +
+ * subArray * banksPerDevice + bank; the page slot is its place among
+ * the P pages of that sub-array. Every quantity is a power of two,
+ * so decoding is shifts and masks.
  */
 class DimmDecoder
 {
   public:
+    /** Panics unless every geometry quantity is a power of two. */
     explicit DimmDecoder(const DramGeometry &geo);
 
     /** Decode a DIMM-relative byte address. */
     DramAddress decode(Addr addr) const;
 
+    /** Sub-array index of @p addr, in [0, subArrays()). */
+    std::uint32_t
+    subArrayIndex(Addr addr) const
+    {
+        std::uint64_t page = addr >> pageShift;
+        std::uint64_t lane = page & (_pagesPerSubArray - 1);
+        std::uint64_t group = page >> (2 * _slotShift);
+        return std::uint32_t(((group << _slotShift) | lane) &
+                             (_subArrays - 1));
+    }
+
+    /** Page slot of @p addr within its sub-array, in
+     *  [0, pagesPerSubArray()). */
+    std::uint32_t
+    pageSlot(Addr addr) const
+    {
+        return std::uint32_t(addr >> (pageShift + _slotShift)) &
+               (_pagesPerSubArray - 1);
+    }
+
     /**
-     * Inverse mapping for the allocator: the DIMM-relative address of
-     * the @p page_slot'th 4KB page residing on (@p rank, @p bank,
-     * @p sub_array).
+     * Inverse of subArrayIndex() and pageSlot(): the DIMM-relative
+     * address of page @p page_slot of sub-array @p sa_index.
+     */
+    Addr
+    pageAddress(std::uint32_t sa_index, std::uint32_t page_slot) const
+    {
+        std::uint64_t group = sa_index >> _slotShift;
+        std::uint64_t lane = sa_index & (_pagesPerSubArray - 1);
+        std::uint64_t page =
+            (((group << _slotShift) | page_slot) << _slotShift) | lane;
+        return Addr(page) << pageShift;
+    }
+
+    /**
+     * The same inverse from decoded coordinates: the page @p page_slot
+     * residing on (@p rank, @p bank, @p sub_array).
      */
     Addr pageAddress(std::uint32_t rank, std::uint32_t bank,
                      std::uint32_t sub_array,
@@ -91,33 +139,31 @@ class DimmDecoder
     /** Distinct (bank, sub-array) pairs per rank. */
     std::uint32_t subArraysPerRank() const { return _subArraysPerRank; }
 
+    /** Distinct (rank, bank, sub-array) triples of the DIMM. */
+    std::uint32_t subArrays() const { return _subArrays; }
+
     /** Stride (bytes) between pages sharing a bank+sub-array. */
-    std::uint64_t sameSubArrayStride() const { return _slotStride; }
+    std::uint64_t
+    sameSubArrayStride() const
+    {
+        return std::uint64_t(_pagesPerSubArray) * pageBytes;
+    }
 
     const DramGeometry &geometry() const { return _geo; }
 
   private:
+    static constexpr std::uint32_t pageShift = 12;
+    static_assert(pageBytes == 1u << pageShift);
+
     DramGeometry _geo;
     std::uint32_t _pagesPerSubArray; ///< e.g. 32
-    std::uint32_t _slots;            ///< pages interleaved before repeat
-    std::uint64_t _slotStride;       ///< _slots * pageBytes, e.g. 128KB
     std::uint32_t _subArraysPerRank;
-    std::uint64_t _rankBytes;
-
-    /**
-     * Shift/mask fast path: every divisor in decode() is a power of
-     * two for realistic geometries (the reference Fig. 9 layout
-     * included), which turns the eight divisions in the generic
-     * decode into shifts. Falls back to div/mod otherwise; both paths
-     * compute identical coordinates.
-     */
-    bool _pow2 = false;
-    std::uint32_t _rankShift = 0;
-    std::uint32_t _slotsShift = 0;
-    std::uint32_t _ppsaShift = 0;  ///< log2(_pagesPerSubArray)
-    std::uint32_t _banksShift = 0; ///< log2(banksPerDevice)
-    std::uint32_t _rowShift = 0;   ///< log2(rowBytes)
-    std::uint32_t _rowsPerPage = 0;
+    std::uint32_t _subArrays;        ///< _subArraysPerRank * ranks
+    std::uint32_t _slotShift;        ///< log2(_pagesPerSubArray)
+    std::uint32_t _saRankShift;      ///< log2(_subArraysPerRank)
+    std::uint32_t _banksShift;       ///< log2(banksPerDevice)
+    std::uint32_t _rowShift;         ///< log2(rowBytes)
+    std::uint32_t _rowsPerPage;
 };
 
 /** Routing target of a host physical address. */

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/AddressMap.hh"
 
 using namespace netdimm;
@@ -96,6 +98,52 @@ TEST(DimmDecoder, PageAddressInvertsDecode)
             }
         }
     }
+
+    // The (sub-array index, page slot) map, over every index and slot
+    // of both ranks: pageAddress(index, slot) is a bijection onto the
+    // DIMM's pages, subArrayIndex() and pageSlot() invert it, and it
+    // agrees with decode() and the coordinate form of pageAddress().
+    ASSERT_EQ(dec.subArrays(), 2u * 16u * 512u);
+    const std::uint32_t rowsPerPage = pageBytes / geo.rowBytes;
+    std::vector<bool> seen(std::size_t(dec.subArrays()) *
+                           dec.pagesPerSubArray());
+    std::uint64_t bad = 0;
+    for (std::uint32_t idx = 0; idx < dec.subArrays(); ++idx) {
+        std::uint32_t rank = idx / dec.subArraysPerRank();
+        std::uint32_t bank = idx % geo.banksPerDevice;
+        std::uint32_t sa = idx % dec.subArraysPerRank() / geo.banksPerDevice;
+        for (std::uint32_t slot = 0; slot < dec.pagesPerSubArray(); ++slot) {
+            Addr a = dec.pageAddress(idx, slot);
+            std::size_t page = a / pageBytes;
+            DramAddress da = dec.decode(a + pageBytes - 1);
+            bool ok = a % pageBytes == 0 && page < seen.size() &&
+                      !seen[page] && dec.subArrayIndex(a) == idx &&
+                      dec.pageSlot(a) == slot &&
+                      dec.subArrayIndex(a + pageBytes - 1) == idx &&
+                      dec.pageSlot(a + pageBytes - 1) == slot &&
+                      da.rank == rank && da.bank == bank &&
+                      da.subArray == sa && da.row / rowsPerPage == slot &&
+                      dec.pageAddress(rank, bank, sa, slot) == a;
+            if (!ok && ++bad <= 5)
+                ADD_FAILURE() << "index " << idx << " slot " << slot
+                              << " -> " << a;
+            if (page < seen.size())
+                seen[page] = true;
+        }
+    }
+    EXPECT_EQ(bad, 0u);
+}
+
+TEST(DimmDecoder, RejectsNonPowerOfTwoGeometry)
+{
+    // Decoding is shifts and masks only; any other geometry is a
+    // configuration error, not a slower path.
+    DramGeometry geo = fig9Geometry();
+    geo.ranksPerChannel = 3;
+    EXPECT_DEATH(DimmDecoder{geo}, "powers of two");
+    geo = fig9Geometry();
+    geo.subArraysPerBank = 500;
+    EXPECT_DEATH(DimmDecoder{geo}, "powers of two");
 }
 
 TEST(DimmDecoder, DistinctPagesGetDistinctAddresses)
