@@ -95,21 +95,8 @@ Llc::accessLines(Addr first, Addr last, bool write, MemSource src,
 {
     // All hits complete after the hit latency, any miss extends
     // completion until its fill returns; the join reports the latest.
-    struct Join
-    {
-        std::uint32_t left = 0;
-        Tick lastDone = 0;
-        Completion cb;
-    };
-    auto join = std::allocate_shared<Join>(PoolAlloc<Join>{});
-    join->cb = std::move(cb);
-    join->left = std::uint32_t((last - first) >> _lineShift) + 1;
-
-    auto lineDone = [join](Tick t) {
-        join->lastDone = std::max(join->lastDone, t);
-        if (--join->left == 0 && join->cb)
-            join->cb(join->lastDone);
-    };
+    auto lineDone = joinParts(
+        std::uint32_t((last - first) >> _lineShift) + 1, std::move(cb));
     for (Addr a = first; a <= last; a += _cfg.lineBytes)
         accessLine(a, write, src, lineDone);
 }

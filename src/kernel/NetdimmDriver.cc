@@ -42,29 +42,16 @@ NetdimmDriver::cloneScattered(const PacketPtr &pkt, Tick t1)
     // *same sub-array as its own source page*, so every chunk runs
     // in FPM. This mirrors the paper's scatter-gather DMA buffers
     // whose pages need not be physically contiguous (Sec. 4.2.2).
-    struct Join
-    {
-        std::uint32_t left = 0;
-        Tick lastDone = 0;
-    };
-    auto join = std::allocate_shared<Join>(PoolAlloc<Join>{});
-
     std::uint32_t chunks =
         (pkt->bytes + pageBytes - 1) / pageBytes;
-    join->left = chunks;
-
-    auto finish_chunk = [this, pkt, t1, join](Tick t2) {
-        join->lastDone = std::max(join->lastDone, t2);
-        if (--join->left > 0)
-            return;
-        Tick done = join->lastDone;
+    auto finish_chunk = joinParts(chunks, [this, pkt, t1](Tick done) {
         pkt->lat.add(LatComp::RxCopy, done - t1);
         // Recycle the drained DMA buffer and repost a fresh one.
         _allocCache.release(pkt->rxBufAddr);
         bool fast = false;
         _dev.postRxBuffer(_allocCache.takeAny(fast));
         deliverToApp(pkt, done);
-    };
+    });
 
     std::uint32_t left = pkt->bytes;
     for (std::uint32_t c = 0; c < chunks; ++c) {

@@ -6,6 +6,7 @@
 #ifndef NETDIMM_MEM_MEMREQUEST_HH
 #define NETDIMM_MEM_MEMREQUEST_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -107,6 +108,34 @@ makeMemRequest(Addr addr, std::uint32_t size, bool write, MemSource src,
     return std::allocate_shared<MemRequest>(PoolAlloc<MemRequest>{},
                                             addr, size, write, src,
                                             std::forward<F>(cb));
+}
+
+/** State of one joinParts() join; shared by its part completions. */
+struct PartJoin
+{
+    std::uint32_t left = 0;
+    Tick lastDone = 0;
+    MemRequest::Completion cb;
+};
+
+/**
+ * Completion join for one access served as @p parts parts (stripe
+ * parts, cache lines, clone chunks). Returns the part completion:
+ * hand a copy to each part; when the last one completes, @p cb (if
+ * set) runs once, inline, with the latest part done tick. One pooled
+ * allocation per join and no event of its own.
+ */
+inline auto
+joinParts(std::uint32_t parts, MemRequest::Completion &&cb)
+{
+    auto join = std::allocate_shared<PartJoin>(PoolAlloc<PartJoin>{});
+    join->left = parts;
+    join->cb = std::move(cb);
+    return [join](Tick done) {
+        join->lastDone = std::max(join->lastDone, done);
+        if (--join->left == 0 && join->cb)
+            join->cb(join->lastDone);
+    };
 }
 
 } // namespace netdimm

@@ -58,18 +58,8 @@ MemorySystem::access(const MemRequestPtr &req)
         return;
     }
 
-    // Split across stripes; join completions, reporting the latest.
-    struct Join
-    {
-        std::uint32_t left = 0;
-        Tick lastDone = 0;
-        MemRequest::Completion cb;
-    };
-    // The original request is replaced by the parts; steal its
-    // completion (move — Completion is move-only and inline).
-    auto join = std::allocate_shared<Join>(PoolAlloc<Join>{});
-    join->cb = std::move(req->onDone);
-
+    // Split across stripes; join the parts' completions, reporting
+    // the latest. The parts replace the original request.
     Addr end = req->addr + req->size;
     // Two passes so the join count is final before any part is
     // routed, without buffering the parts in a heap-allocated vector:
@@ -89,17 +79,13 @@ MemorySystem::access(const MemRequestPtr &req)
     for (Addr cursor = req->addr; cursor < end;
          cursor = partEnd(cursor, _map.route(cursor)))
         ++nparts;
-    join->left = nparts;
+    auto partDone = joinParts(nparts, std::move(req->onDone));
     for (Addr cursor = req->addr; cursor < end;) {
         ChannelRoute route = _map.route(cursor);
         Addr part_end = partEnd(cursor, route);
-        auto part = makeMemRequest(
-            cursor, std::uint32_t(part_end - cursor), req->write,
-            req->source, [join](Tick done) {
-                join->lastDone = std::max(join->lastDone, done);
-                if (--join->left == 0 && join->cb)
-                    join->cb(join->lastDone);
-            });
+        auto part =
+            makeMemRequest(cursor, std::uint32_t(part_end - cursor),
+                           req->write, req->source, partDone);
         routeOne(part, route);
         cursor = part_end;
     }
