@@ -227,15 +227,13 @@ Node::printStats(std::ostream &os) const
             "us");
     drv.print(os);
 
-    // Whole-node lifecycle and replicated-serving counters: one
-    // stable-order group on every node kind (all zero outside the
-    // cluster workload), mirroring the PR 7 handler-counter layout.
+    // Whole-node lifecycle counters: one stable-order group on every
+    // node kind (all zero outside the cluster workload). The serving
+    // roles count resync bytes, redirects and stale reads themselves
+    // and report them in ServingResult.
     StatGroup life(name() + ".lifecycle");
     life.add("crashesInjected", double(_crashes.value()));
     life.add("restarts", double(_restarts.value()));
-    life.add("resyncBytes", double(_resyncBytes.value()));
-    life.add("failoverRedirects", double(_failoverRedirects.value()));
-    life.add("staleReads", double(_staleReads.value()));
     life.print(os);
 
     StatGroup cache(name() + ".llc");

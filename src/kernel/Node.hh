@@ -116,19 +116,8 @@ class Node : public SimObject
         _coldBoot = std::move(fn);
     }
 
-    // -- replication/failover counters (workload-maintained) ------------
-    void noteResyncBytes(std::uint64_t n) { _resyncBytes.inc(n); }
-    void noteFailoverRedirect() { _failoverRedirects.inc(); }
-    void noteStaleRead() { _staleReads.inc(); }
-
     std::uint64_t crashesInjected() const { return _crashes.value(); }
     std::uint64_t restarts() const { return _restarts.value(); }
-    std::uint64_t resyncBytes() const { return _resyncBytes.value(); }
-    std::uint64_t failoverRedirects() const
-    {
-        return _failoverRedirects.value();
-    }
-    std::uint64_t staleReads() const { return _staleReads.value(); }
 
     // -- component access -------------------------------------------------
     const SystemConfig &config() const { return _cfg; }
@@ -175,8 +164,7 @@ class Node : public SimObject
     bool _alive = true;
     std::uint64_t _bootGen = 0;
     std::function<void()> _coldBoot;
-    stats::Scalar _crashes, _restarts, _resyncBytes;
-    stats::Scalar _failoverRedirects, _staleReads;
+    stats::Scalar _crashes, _restarts;
 
     /** Round-robin application pages for standard-driver sources. */
     std::vector<Addr> _appPages;

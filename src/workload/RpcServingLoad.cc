@@ -158,6 +158,7 @@ class Server
     std::uint64_t shedQueueFull = 0;
     std::uint64_t shedGets = 0;
     std::uint64_t shedExpired = 0;
+    std::uint64_t resyncBytes = 0;
 
     Server(Node &node, const ServingParams &p, const ShardMap &shard,
            std::uint64_t &replIds)
@@ -476,7 +477,7 @@ class Server
         _plan->frames[fi].got = true;
         for (const auto &[k, v] : _plan->frames[fi].kv)
             installMax(k, v);
-        _node.noteResyncBytes(pkt->bytes);
+        resyncBytes += pkt->bytes;
         if (--_plan->remaining == 0) {
             _plan.reset();
             rejoin();
@@ -632,7 +633,7 @@ class Client
             }
         }
         if (f.target != _replicas[0])
-            _node.noteFailoverRedirect();
+            ++_res.failoverRedirects;
         std::uint32_t bytes =
             f.get ? 64 : std::max<std::uint32_t>(_p.valueBytes, 64);
         sendRpc(_node, bytes, f.target,
@@ -736,7 +737,7 @@ class Client
             auto a = _acked.find(f.kvKey);
             if (a != _acked.end() && pkt->rpcVersion < a->second.version &&
                 f.firstSend >= a->second.at)
-                _node.noteStaleRead();
+                ++_res.staleReads;
         }
         _doneFlags[std::size_t(pkt->rpcKey)] = 1;
         _inFlight.erase(it);
@@ -977,6 +978,7 @@ class Cluster
             res.shedQueueFull += srv->shedQueueFull;
             res.shedGets += srv->shedGets;
             res.shedExpired += srv->shedExpired;
+            res.resyncBytes += srv->resyncBytes;
             totalDown += srv->downTicks();
             Node &sn = srv->node();
             if (HandlerStage *hs =
@@ -1000,10 +1002,7 @@ class Cluster
             }
             res.crashes += sn.crashesInjected();
             res.restarts += sn.restarts();
-            res.resyncBytes += sn.resyncBytes();
         }
-        res.failoverRedirects = _clientNode->failoverRedirects();
-        res.staleReads = _clientNode->staleReads();
         if (span() > 0)
             res.deadFraction = double(totalDown) /
                                (double(_p.cluster.nodes) * double(span()));
