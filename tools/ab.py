@@ -6,10 +6,16 @@ Usage, from the repository root:
     python3 tools/ab.py --parent REV [--change REV] --workload NAME
                         [--pairs N] [--seeds 1,2,...] [--work DIR]
 
-Each revision's committed files are exported (git archive) into
-WORK/parent/tree and WORK/change/tree and built into WORK/<side>/build
-by that tree's own perfbench/run.py, so neither side sees the other's
-sources or build. Then the two sides run in ABBA order for N pairs:
+Each revision is resolved to its commit id, and that commit's files
+are exported (git archive) into .ab_cache/<commit>/tree and built into
+.ab_cache/<commit>/build by the tree's own perfbench/run.py (a
+zero-second run, which also warms it up), so neither side sees the
+other's sources or build. The cache outlives the invocation: a later
+one at the same commit reuses the tree and its build and neither
+re-exports nor rebuilds. An export is always a commit, never the
+working tree, so uncommitted edits can never enter the cache. Delete
+.ab_cache to reclaim the space. Then the two sides run in ABBA order
+for N pairs:
 pair i runs the parent first when i is even and the change first when
 i is odd, both at seed seeds[i % len(seeds)], so a slow drift of the
 host hits both sides alike. Every run lasts the `run_seconds` that the
@@ -31,6 +37,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -39,12 +46,42 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAME_IN_PAIR = ("sim_p50_us", "sim_p99_us")
 
 
+# Exported and built trees, one per commit id, kept across invocations.
+CACHE = os.path.join(ROOT, ".ab_cache")
+
+
+def resolve(rev):
+    """The commit id @rev names."""
+    return subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+        stdout=subprocess.PIPE, check=True, text=True).stdout.strip()
+
+
 def export(rev, dest):
     """Write @rev's committed tree into @dest (which must not exist)."""
     os.makedirs(dest)
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
                              stdout=subprocess.PIPE, check=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def prepare(name, rev, build_args, log, failures):
+    """The side @name running @rev: its commit's cached tree and build,
+    exported and built (one perfbench run with @build_args) only when
+    the cache does not already hold a good build of that commit."""
+    commit = resolve(rev)
+    base = os.path.join(CACHE, commit)
+    side = {"name": name, "rev": rev, "tree": os.path.join(base, "tree"),
+            "build": os.path.join(base, "build")}
+    built = os.path.join(base, "built")
+    if not os.path.exists(built):
+        shutil.rmtree(base, ignore_errors=True)  # a half-made entry
+        export(commit, side["tree"])
+        ok = len(failures)
+        perfbench(side, build_args, log, failures)
+        if len(failures) == ok:
+            open(built, "w").close()
+    return side
 
 
 def perfbench(side, args, log, failures):
@@ -130,25 +167,21 @@ def main(argv):
         print("ab: %s exists; pass a fresh --work" % a.work,
               file=sys.stderr)
         return 2
-    sides = []
-    for name, rev in (("parent", a.parent), ("change", a.change)):
-        base = os.path.join(a.work, name)
-        side = {"name": name, "rev": rev, "tree": os.path.join(base, "tree"),
-                "build": os.path.join(base, "build")}
-        export(rev, side["tree"])
-        sides.append(side)
-    try:
-        seconds, better = benchmark_spec(sides[1]["tree"])
-    except (OSError, ValueError, KeyError) as e:
-        print("ab: change tree's BENCHMARK.json: %r" % e, file=sys.stderr)
-        return 2
+    os.makedirs(a.work)
     log = open(os.path.join(a.work, "runs.log"), "w")
     base_args = ["--workload", a.workload, "--trace", "0"]
     failures = []
     try:
-        # Build each side (a zero-second run also warms it up).
-        for side in sides:
-            perfbench(side, base_args + ["--seconds", "0"], log, failures)
+        sides = [prepare(name, rev, base_args + ["--seconds", "0"], log,
+                         failures)
+                 for name, rev in (("parent", a.parent),
+                                   ("change", a.change))]
+        try:
+            seconds, better = benchmark_spec(sides[1]["tree"])
+        except (OSError, ValueError, KeyError) as e:
+            print("ab: change tree's BENCHMARK.json: %r" % e,
+                  file=sys.stderr)
+            return 2
         runs = {"parent": [], "change": []}
         for i in range(a.pairs):
             seed = a.seeds[i % len(a.seeds)]
