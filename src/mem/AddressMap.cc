@@ -9,15 +9,14 @@ namespace netdimm
 
 DimmDecoder::DimmDecoder(const DramGeometry &geo) : _geo(geo)
 {
-    auto pow2 = [](std::uint64_t v) { return std::has_single_bit(v); };
-    auto log2u = [](std::uint64_t v) {
-        return std::uint32_t(std::countr_zero(v));
-    };
+    using std::has_single_bit;
     std::uint64_t sub_array_bytes =
         std::uint64_t(geo.rowsPerSubArray) * geo.rowBytes;
-    if (!pow2(geo.ranksPerChannel) || !pow2(geo.banksPerDevice) ||
-        !pow2(geo.subArraysPerBank) || !pow2(geo.rowsPerSubArray) ||
-        !pow2(geo.rowBytes) || geo.rowBytes > pageBytes ||
+    if (!has_single_bit(geo.ranksPerChannel) ||
+        !has_single_bit(geo.banksPerDevice) ||
+        !has_single_bit(geo.subArraysPerBank) ||
+        !has_single_bit(geo.rowsPerSubArray) ||
+        !has_single_bit(geo.rowBytes) || geo.rowBytes > pageBytes ||
         sub_array_bytes < pageBytes)
         panic("DimmDecoder: ranks %u, banks %u, sub-arrays %u, rows %u "
               "and row bytes %u must be powers of two, with rows no "
@@ -32,10 +31,10 @@ DimmDecoder::DimmDecoder(const DramGeometry &geo) : _geo(geo)
     _subArraysPerRank = geo.banksPerDevice * geo.subArraysPerBank;
     _subArrays = _subArraysPerRank * geo.ranksPerChannel;
     ND_ASSERT(_pagesPerSubArray <= _subArraysPerRank);
-    _slotShift = log2u(_pagesPerSubArray);
-    _saRankShift = log2u(_subArraysPerRank);
-    _banksShift = log2u(geo.banksPerDevice);
-    _rowShift = log2u(geo.rowBytes);
+    _slotShift = std::uint32_t(std::countr_zero(_pagesPerSubArray));
+    _saRankShift = std::uint32_t(std::countr_zero(_subArraysPerRank));
+    _banksShift = std::uint32_t(std::countr_zero(geo.banksPerDevice));
+    _rowShift = std::uint32_t(std::countr_zero(geo.rowBytes));
     _rowsPerPage = pageBytes / geo.rowBytes;
 }
 

@@ -95,10 +95,11 @@ class DimmDecoder
     std::uint32_t
     subArrayIndex(Addr addr) const
     {
+        // The page number with its page-slot bits taken out.
         std::uint64_t page = addr >> pageShift;
         std::uint64_t lane = page & (_pagesPerSubArray - 1);
-        std::uint64_t group = page >> (2 * _slotShift);
-        return std::uint32_t(((group << _slotShift) | lane) &
+        return std::uint32_t((((page >> _slotShift) - pageSlot(addr)) |
+                              lane) &
                              (_subArrays - 1));
     }
 
@@ -118,11 +119,10 @@ class DimmDecoder
     Addr
     pageAddress(std::uint32_t sa_index, std::uint32_t page_slot) const
     {
-        std::uint64_t group = sa_index >> _slotShift;
+        // Put the page-slot bits back in between group and lane.
         std::uint64_t lane = sa_index & (_pagesPerSubArray - 1);
-        std::uint64_t page =
-            (((group << _slotShift) | page_slot) << _slotShift) | lane;
-        return Addr(page) << pageShift;
+        std::uint64_t group = std::uint64_t(sa_index) - lane;
+        return (((group | page_slot) << _slotShift) | lane) << pageShift;
     }
 
     /**
